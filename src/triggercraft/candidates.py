@@ -27,6 +27,7 @@ __all__ = [
     "RankedList",
     "SynthesisManifest",
     "Voice",
+    "blocked_labels",
     "build_blocklist",
     "dictionary_candidates",
     "export_manifest",
@@ -77,6 +78,11 @@ def _is_contiguous_subsequence(needle: PhoneSeq, haystack: PhoneSeq) -> bool:
     return any(haystack[i : i + k] == needle for i in range(len(haystack) - k + 1))
 
 
+def blocked_labels(wake: WakeWordSpec, extra: Iterable[str] = ()) -> set[str]:
+    """The wake word's own text, its explicit blocklist and ``extra``, normalized."""
+    return {normalize_label(b) for b in (wake.text, *wake.explicit_blocklist, *extra)}
+
+
 def build_blocklist(
     wake: WakeWordSpec,
     dictionary: PronouncingDictionary,
@@ -88,8 +94,7 @@ def build_blocklist(
     a contiguous run of the wake word's phones (such words are the wake
     word, or a piece of it, by sound).
     """
-    blocked = {normalize_label(wake.text)}
-    blocked.update(normalize_label(b) for b in wake.explicit_blocklist)
+    blocked = blocked_labels(wake)
     for word in dictionary.words():
         for variant in dictionary.lookup(word):
             if _is_contiguous_subsequence(variant.phones, wake.phones):
@@ -167,9 +172,7 @@ def rank_candidates(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    blocked = {normalize_label(b) for b in blocklist}
-    blocked.add(normalize_label(wake.text))
-    blocked.update(normalize_label(b) for b in wake.explicit_blocklist)
+    blocked = blocked_labels(wake, blocklist)
     kept = [c for c in vocab if normalize_label(c.label) not in blocked]
     if not kept:
         raise EmptyVocabulary(f"no candidates left for {wake.id!r} after blocklist filtering")

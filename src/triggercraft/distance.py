@@ -32,6 +32,7 @@ __all__ = [
     "WeightTable",
     "align",
     "distance_to_wakeword",
+    "lookup_weight",
 ]
 
 log = logging.getLogger(__name__)
@@ -168,6 +169,21 @@ class DistanceBreakdown:
     alignment: list[tuple]
 
 
+def lookup_weight(mapping, key, kind: str, warned: set[tuple]) -> float:
+    """``mapping[key]``, or the neutral weight 1.0 when the entry is missing.
+
+    A fallback is logged once per (``kind``, ``key``) for each ``warned``
+    set; the caller decides how long one set lives.
+    """
+    value = mapping.get(key)
+    if value is None:
+        if (kind, key) not in warned:
+            warned.add((kind, key))
+            log.warning("no %s weight for %r; falling back to 1.0", kind, key)
+        return 1.0
+    return value
+
+
 class CostContext:
     """Per-(wake word, model) scoring state reused across many candidates.
 
@@ -194,7 +210,7 @@ class CostContext:
         self._del_costs = []
         self._del_weights = []
         for p in self.wake:
-            w = self._weight(table.deletion, p, "deletion") if advanced else 1.0
+            w = lookup_weight(table.deletion, p, "deletion", self._warned) if advanced else 1.0
             self._del_weights.append(w)
             self._del_costs.append(scales.d * w)
         # One scaled-cost row per wake position; the diagonal entry is the
@@ -205,22 +221,15 @@ class CostContext:
         self._ins_costs: dict[str, float] = {}
         self._ins_weights: dict[str, float] = {}
 
-    def _weight(self, mapping, key, kind) -> float:
-        value = mapping.get(key)
-        if value is None:
-            if (kind, key) not in self._warned:
-                self._warned.add((kind, key))
-                log.warning("no %s weight for %r; falling back to 1.0", kind, key)
-            return 1.0
-        return value
-
     def _sub_cost(self, position: int, q: str) -> float:
         row = self._sub_rows[position]
         cost = row.get(q)
         if cost is None:
             p = self.wake[position]
             if self.model.variant == "advanced":
-                w = self._weight(self.model.table.substitution, (p, q), "substitution")
+                w = lookup_weight(
+                    self.model.table.substitution, (p, q), "substitution", self._warned
+                )
             else:
                 w = 1.0
             self._sub_weights[position][q] = w
@@ -231,7 +240,7 @@ class CostContext:
         cost = self._ins_costs.get(q)
         if cost is None:
             if self.model.variant == "advanced":
-                w = self._weight(self.model.table.insertion, q, "insertion")
+                w = lookup_weight(self.model.table.insertion, q, "insertion", self._warned)
             else:
                 w = 1.0
             self._ins_weights[q] = w

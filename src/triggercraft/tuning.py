@@ -7,10 +7,20 @@ A grid point is scored by the worst trigger rank per wake word, summed over
 wake words; grid search returns the point minimizing that sum, breaking
 ties toward the lexicographically smallest (s, d, i).
 
-The grid evaluator runs the edit-distance dynamic program over all grid
-points at once (one numpy vector per cell), which keeps exhaustive grids
-practical while performing exactly the same float arithmetic as the scalar
-scorer.
+A trigger's rank at a grid point depends on its wake word, its label and
+the point, never on which triggers are being tuned on.  So a tuning run
+makes one rank pass per wake word (:class:`TriggerRanks`): every
+non-blocked candidate is scored once at all grid points, and its cost is
+folded straight into one int64 rank vector per trigger label.  Memory is
+O(labels x grid points) per wake word; candidate costs are never stacked.
+The trigger filter (the minimum of each vector), the grid search (the
+first argmin of the summed per-wake worst vectors) and every
+leave-one-wake-out fold (the same argmin over the other wake words) are
+reductions over those vectors.
+
+The rank pass runs the edit-distance dynamic program over all grid points
+at once (one numpy vector per cell), performing exactly the same float
+arithmetic as the scalar scorer.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .candidates import Candidate, normalize_label, rank_candidates
-from .distance import CostContext, CostModel, ScaleFactors, WeightTable
+from .candidates import Candidate, blocked_labels, normalize_label, rank_candidates
+from .distance import CostContext, CostModel, ScaleFactors, WeightTable, lookup_weight
 from .errors import (
     NoTriggers,
     ParseError,
@@ -34,8 +44,10 @@ from .errors import (
 from .lexicon import PhoneSeq, WakeWordSpec
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "Grid",
     "LabeledTrigger",
+    "TriggerRanks",
     "TuningResult",
     "best_achievable_rank",
     "cross_validate",
@@ -49,6 +61,11 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _TRIGGER_HEADER = ["wake_id", "trigger_label", "times_triggered"]
+
+# Every rank pass holds a few float vectors of this length per DP cell and
+# per cached weight; the cap keeps a mistyped step from exhausting memory.
+# The "extended" preset has 29,791 points.
+MAX_GRID_POINTS = 250_000
 
 
 @dataclass(frozen=True)
@@ -118,17 +135,33 @@ class Grid:
         """A wider [0, 1.5] grid for optima that sit past 1."""
         return cls.uniform(0.0, 1.5, 0.05)
 
-    def axis_values(self, axis: int) -> list[float]:
+    def axis_count(self, axis: int) -> int:
+        """The number of values on ``axis``, worked out without listing them.
+
+        Raises ``ValueError`` for a non-finite bound or step, a step <= 0,
+        ``lo < 0`` (scale factors are non-negative), ``hi < lo``, or an axis
+        longer than :data:`MAX_GRID_POINTS`.
+        """
         lo, hi, step = self.lo[axis], self.hi[axis], self.step[axis]
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or lo < 0 or hi < lo:
             raise ValueError(f"bad grid axis: lo={lo} hi={hi} step={step}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return [round(lo + k * step, 12) for k in range(count)]
+        span = (hi - lo) / step
+        if span >= MAX_GRID_POINTS:  # also catches an overflow to inf
+            raise ValueError(f"grid axis lo={lo} hi={hi} step={step} exceeds "
+                             f"the cap of {MAX_GRID_POINTS} grid points")
+        return int(math.floor(span + 1e-9)) + 1
+
+    def axis_values(self, axis: int) -> list[float]:
+        lo, step = self.lo[axis], self.step[axis]
+        return [round(lo + k * step, 12) for k in range(self.axis_count(axis))]
 
     def point_count(self) -> int:
-        return (
-            len(self.axis_values(0)) * len(self.axis_values(1)) * len(self.axis_values(2))
-        )
+        """Grid size; raises ``ValueError`` for a bad axis or a grid over
+        :data:`MAX_GRID_POINTS`."""
+        count = self.axis_count(0) * self.axis_count(1) * self.axis_count(2)
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {count} points, over the cap of {MAX_GRID_POINTS}")
+        return count
 
     def points(self) -> Iterable[ScaleFactors]:
         """All grid points in lexicographic (s, d, i) order."""
@@ -187,7 +220,11 @@ def _grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _GridScorer:
-    """Rewrite costs for one wake word at every grid point simultaneously."""
+    """Rewrite costs for one wake word at every grid point simultaneously.
+
+    Missing weight-table entries fall back to 1.0, logged once per
+    (kind, key) in ``warned``.
+    """
 
     def __init__(
         self,
@@ -196,16 +233,23 @@ class _GridScorer:
         s_arr: np.ndarray,
         d_arr: np.ndarray,
         i_arr: np.ndarray,
+        warned: set[tuple],
     ):
         self.wake = tuple(wake)
         self.table = table
         self.s_arr = s_arr
         self.d_arr = d_arr
         self.i_arr = i_arr
-        deletion = table.deletion if table else {}
-        self.del_vecs = [d_arr * deletion.get(p, 1.0) for p in self.wake]
+        self.warned = warned
+        self.del_vecs = [d_arr * self._weight("deletion", p) for p in self.wake]
         self._sub_vecs: dict[tuple[int, str], np.ndarray] = {}
         self._ins_vecs: dict[str, np.ndarray] = {}
+
+    def _weight(self, kind: str, key) -> float:
+        """The table's ``kind`` weight for ``key``; 1.0 without a table."""
+        if self.table is None:
+            return 1.0
+        return lookup_weight(getattr(self.table, kind), key, kind, self.warned)
 
     def _sub_vec(self, position: int, q: str) -> np.ndarray | None:
         p = self.wake[position]
@@ -214,15 +258,13 @@ class _GridScorer:
         key = (position, q)
         vec = self._sub_vecs.get(key)
         if vec is None:
-            w = self.table.substitution.get((p, q), 1.0) if self.table else 1.0
-            vec = self._sub_vecs[key] = self.s_arr * w
+            vec = self._sub_vecs[key] = self.s_arr * self._weight("substitution", (p, q))
         return vec
 
     def _ins_vec(self, q: str) -> np.ndarray:
         vec = self._ins_vecs.get(q)
         if vec is None:
-            w = self.table.insertion.get(q, 1.0) if self.table else 1.0
-            vec = self._ins_vecs[q] = self.i_arr * w
+            vec = self._ins_vecs[q] = self.i_arr * self._weight("insertion", q)
         return vec
 
     def cost(self, cand: PhoneSeq) -> np.ndarray:
@@ -249,43 +291,6 @@ class _GridScorer:
         return best
 
 
-def _exclusions(wake: WakeWordSpec, extra: Iterable[str] = ()) -> set[str]:
-    blocked = {normalize_label(wake.text)}
-    blocked.update(normalize_label(b) for b in wake.explicit_blocklist)
-    blocked.update(normalize_label(b) for b in extra)
-    return blocked
-
-
-def _rank_vectors_for_wake(
-    wake: WakeWordSpec,
-    vocab: Sequence[Candidate],
-    labels: Sequence[str],
-    grid: Grid,
-    table: WeightTable | None,
-    extra_blocked: Iterable[str] = (),
-) -> dict[str, np.ndarray]:
-    """label -> competition rank at every grid point (lexicographic order)."""
-    labels = [normalize_label(lbl) for lbl in labels]
-    s_arr, d_arr, i_arr = _grid_arrays(grid)
-    scorer = _GridScorer(wake.phones, table, s_arr, d_arr, i_arr)
-    blocked = _exclusions(wake, extra_blocked)
-    kept = [c for c in vocab if normalize_label(c.label) not in blocked]
-    by_label: dict[str, np.ndarray] = {}
-    for cand in kept:
-        key = normalize_label(cand.label)
-        if key in labels and key not in by_label:
-            by_label[key] = scorer.best_cost(cand.prons)
-    missing = [lbl for lbl in labels if lbl not in by_label]
-    if missing:
-        raise UnknownLabel(f"labels not in vocabulary for {wake.id!r}: {sorted(set(missing))}")
-    counts = {lbl: np.zeros(len(s_arr), dtype=np.int64) for lbl in by_label}
-    for cand in kept:
-        cost = scorer.best_cost(cand.prons)
-        for lbl, target in by_label.items():
-            counts[lbl] += cost < target
-    return {lbl: counts[lbl] + 1 for lbl in counts}
-
-
 def _wake_map(wakes: Sequence[WakeWordSpec]) -> dict[str, WakeWordSpec]:
     return {w.id: w for w in wakes}
 
@@ -298,6 +303,92 @@ def _variant_table(variant: str, table: WeightTable | None) -> WeightTable | Non
     return None
 
 
+def _labels_by_wake(
+    triggers: Iterable[LabeledTrigger],
+    wake_map: Mapping[str, WakeWordSpec] | None = None,
+) -> dict[str, list[str]]:
+    """wake id -> normalized trigger labels, in first-appearance order.
+
+    With ``wake_map``, a trigger whose wake id is not in it raises
+    :class:`UnknownWakeWord`.
+    """
+    by_wake: dict[str, list[str]] = {}
+    for trigger in triggers:
+        if wake_map is not None and trigger.wake_id not in wake_map:
+            raise UnknownWakeWord(f"no wake word configured for id {trigger.wake_id!r}")
+        by_wake.setdefault(trigger.wake_id, []).append(normalize_label(trigger.trigger_label))
+    return by_wake
+
+
+class TriggerRanks:
+    """Competition rank of each labeled trigger at every point of a grid.
+
+    Holds, per (wake id, trigger label), an int64 rank vector over the grid
+    in lexicographic (s, d, i) order.  A wake word's vectors come from one
+    scoring pass, made the first time :meth:`of` asks for that wake word:
+    the pass scores each non-blocked candidate once, the triggers' own
+    candidates first, and folds every cost into the rank counts as it
+    goes, so memory stays O(labels x grid points).  The reductions
+    (:func:`filter_triggers`, :func:`grid_search`, :func:`cross_validate`)
+    accept one shared instance, built from the same vocabulary, wake
+    words, grid, variant, table and blocklists, and from a superset of
+    their triggers.
+    """
+
+    def __init__(
+        self,
+        triggers: Iterable[LabeledTrigger],
+        vocab: Sequence[Candidate],
+        wakes: Sequence[WakeWordSpec],
+        grid: Grid,
+        variant: str = "simple",
+        table: WeightTable | None = None,
+        blocklists: Mapping[str, Iterable[str]] | None = None,
+    ):
+        self.table = _variant_table(variant, table)
+        self.vocab = vocab
+        self.wakes = _wake_map(wakes)
+        self.blocklists = blocklists or {}
+        self.labels = _labels_by_wake(triggers)
+        self.warned: set[tuple] = set()
+        self._arrays = _grid_arrays(grid)
+        self._vectors: dict[str, dict[str, np.ndarray]] = {}
+
+    def of(self, wake_id: str) -> dict[str, np.ndarray]:
+        """label -> rank vector for every trigger label of ``wake_id``."""
+        vectors = self._vectors.get(wake_id)
+        if vectors is None:
+            vectors = self._vectors[wake_id] = self._rank_pass(self.wakes[wake_id])
+        return vectors
+
+    def _rank_pass(self, wake: WakeWordSpec) -> dict[str, np.ndarray]:
+        blocked = blocked_labels(wake, self.blocklists.get(wake.id, ()))
+        kept = [c for c in self.vocab if normalize_label(c.label) not in blocked]
+        # A label's target is the first kept candidate carrying it.
+        wanted = set(self.labels.get(wake.id, ()))
+        target_of: dict[str, int] = {}
+        for idx, cand in enumerate(kept):
+            key = normalize_label(cand.label)
+            if key in wanted and key not in target_of:
+                target_of[key] = idx
+        missing = wanted - target_of.keys()
+        if missing:
+            raise UnknownLabel(f"labels not in vocabulary for {wake.id!r}: {sorted(missing)}")
+        if not target_of:
+            return {}
+        scorer = _GridScorer(wake.phones, self.table, *self._arrays, warned=self.warned)
+        costs = {idx: scorer.best_cost(kept[idx].prons) for idx in target_of.values()}
+        labels = list(target_of)
+        targets = np.array([costs[target_of[lbl]] for lbl in labels])
+        counts = np.ones(targets.shape, dtype=np.int64)
+        for idx, cand in enumerate(kept):
+            cost = costs.get(idx)
+            if cost is None:
+                cost = scorer.best_cost(cand.prons)
+            counts += cost < targets
+        return dict(zip(labels, counts))
+
+
 def grid_search(
     triggers: Sequence[LabeledTrigger],
     vocab: Sequence[Candidate],
@@ -306,30 +397,26 @@ def grid_search(
     variant: str = "simple",
     table: WeightTable | None = None,
     blocklists: Mapping[str, Iterable[str]] | None = None,
+    *,
+    ranks: TriggerRanks | None = None,
 ) -> TuningResult:
-    """Exhaustive search for the scale factors with the best rank objective."""
+    """Exhaustive search for the scale factors with the best rank objective.
+
+    The objective at each grid point is the sum over wake words of the
+    worst rank among that wake word's ``triggers``; the first minimum in
+    (s, d, i) order wins.  ``ranks`` is built here when not given.
+    """
     if not triggers:
         raise NoTriggers("no triggers to tune on")
-    table = _variant_table(variant, table)
-    wake_map = _wake_map(wakes)
-    blocklists = blocklists or {}
-    by_wake: dict[str, list[str]] = {}
-    for trigger in triggers:
-        if trigger.wake_id not in wake_map:
-            raise UnknownWakeWord(f"no wake word configured for id {trigger.wake_id!r}")
-        by_wake.setdefault(trigger.wake_id, []).append(normalize_label(trigger.trigger_label))
-
+    if ranks is None:
+        ranks = TriggerRanks(triggers, vocab, wakes, grid, variant, table, blocklists)
+    by_wake = _labels_by_wake(triggers, _wake_map(wakes))
     grid_size = grid.point_count()
     objective = np.zeros(grid_size, dtype=np.int64)
     worst_vecs: dict[str, np.ndarray] = {}
     for wake_id, labels in by_wake.items():
-        ranks = _rank_vectors_for_wake(
-            wake_map[wake_id], vocab, labels, grid, table,
-            extra_blocked=blocklists.get(wake_id, ()),
-        )
-        worst = ranks[labels[0]].copy()
-        for lbl in labels[1:]:
-            np.maximum(worst, ranks[lbl], out=worst)
+        vectors = ranks.of(wake_id)
+        worst = np.maximum.reduce([vectors[lbl] for lbl in labels])
         worst_vecs[wake_id] = worst
         objective += worst
 
@@ -354,10 +441,12 @@ def best_achievable_rank(
     blocklist: Iterable[str] = (),
 ) -> int:
     """The best rank ``trigger`` reaches at any point of ``grid``."""
-    table = _variant_table(variant, table)
     label = normalize_label(trigger.trigger_label)
-    ranks = _rank_vectors_for_wake(wake, vocab, [label], grid, table, extra_blocked=blocklist)
-    return int(ranks[label].min())
+    ranks = TriggerRanks(
+        [LabeledTrigger(wake.id, label)], vocab, [wake], grid, variant, table,
+        blocklists={wake.id: blocklist},
+    )
+    return int(ranks.of(wake.id)[label].min())
 
 
 def filter_triggers(
@@ -369,25 +458,19 @@ def filter_triggers(
     variant: str = "simple",
     table: WeightTable | None = None,
     blocklists: Mapping[str, Iterable[str]] | None = None,
+    *,
+    ranks: TriggerRanks | None = None,
 ) -> list[LabeledTrigger]:
     """Keep triggers the model can rank at or under ``threshold`` somewhere
-    on the grid; order is preserved."""
-    table = _variant_table(variant, table)
-    wake_map = _wake_map(wakes)
-    blocklists = blocklists or {}
-    by_wake: dict[str, list[str]] = {}
-    for trigger in triggers:
-        if trigger.wake_id not in wake_map:
-            raise UnknownWakeWord(f"no wake word configured for id {trigger.wake_id!r}")
-        by_wake.setdefault(trigger.wake_id, []).append(normalize_label(trigger.trigger_label))
+    on the grid; order is preserved.  ``ranks`` is built here when not
+    given."""
+    if ranks is None:
+        ranks = TriggerRanks(triggers, vocab, wakes, grid, variant, table, blocklists)
     best: dict[tuple[str, str], int] = {}
-    for wake_id, labels in by_wake.items():
-        ranks = _rank_vectors_for_wake(
-            wake_map[wake_id], vocab, labels, grid, table,
-            extra_blocked=blocklists.get(wake_id, ()),
-        )
-        for lbl, vec in ranks.items():
-            best[(wake_id, lbl)] = int(vec.min())
+    for wake_id, labels in _labels_by_wake(triggers, _wake_map(wakes)).items():
+        vectors = ranks.of(wake_id)
+        for lbl in labels:
+            best[(wake_id, lbl)] = int(vectors[lbl].min())
     kept = [
         t
         for t in triggers
@@ -411,6 +494,8 @@ def cross_validate(
     k: int = 100,
     seed: int = 0,
     blocklists: Mapping[str, Iterable[str]] | None = None,
+    *,
+    ranks: TriggerRanks | None = None,
 ) -> dict[str, int]:
     """Leave-one-wake-out evaluation: tune on the others, count hits.
 
@@ -418,11 +503,16 @@ def cross_validate(
     word's triggers, the held-out wake word's vocabulary is ranked top-``k``
     with those factors, and the result counts how many of its triggers made
     the list.  The unweighted variant skips tuning (it has no parameters).
+    Every fold's search reduces the same ``ranks``, built here when not
+    given.
     """
     if len(per_wake_triggers) < 2:
         raise TooFewFolds("cross-validation needs at least two wake words")
     wake_map = _wake_map(wakes)
     blocklists = blocklists or {}
+    if ranks is None and variant != "unweighted":
+        everyone = [t for ts in per_wake_triggers.values() for t in ts]
+        ranks = TriggerRanks(everyone, vocab, wakes, grid, variant, table, blocklists)
     hits: dict[str, int] = {}
     for fold, wake_id in enumerate(per_wake_triggers):
         if wake_id not in wake_map:
@@ -437,7 +527,9 @@ def cross_validate(
         if variant == "unweighted":
             model = CostModel.unweighted()
         else:
-            tuned = grid_search(training, vocab, wakes, grid, variant, table, blocklists)
+            tuned = grid_search(
+                training, vocab, wakes, grid, variant, table, blocklists, ranks=ranks
+            )
             if variant == "advanced":
                 model = CostModel.advanced(tuned.best, table)
             else:

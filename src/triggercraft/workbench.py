@@ -55,7 +55,14 @@ from .lexicon import (
     load_dictionary,
     phrase_phones,
 )
-from .tuning import Grid, cross_validate, filter_triggers, grid_search, load_trigger_labels
+from .tuning import (
+    Grid,
+    TriggerRanks,
+    cross_validate,
+    filter_triggers,
+    grid_search,
+    load_trigger_labels,
+)
 from .weights import (
     build_weight_table,
     load_probe_scores,
@@ -182,9 +189,11 @@ def _parse_grid(raw) -> Grid:
             raise ConfigError(f"unknown grid preset {raw!r}; known: {sorted(GRID_PRESETS)}")
         return preset()
     try:
-        return Grid.uniform(float(raw["lo"]), float(raw["hi"]), float(raw["step"]))
+        grid = Grid.uniform(float(raw["lo"]), float(raw["hi"]), float(raw["step"]))
+        grid.point_count()  # checks every axis and the size cap, allocating nothing
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'grid' entry: {exc!r}") from None
+    return grid
 
 
 def _parse_voices(raw) -> tuple[Voice, ...]:
@@ -354,13 +363,17 @@ def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     wakes = config.wake_words()
     blocklists = {w.id: build_blocklist(w, dictionary) for w in wakes}
     table = config.weight_table() if args.variant == "advanced" else None
+    # One rank pass per wake word, shared by the filter, the search and
+    # every cross-validation fold.
+    ranks = TriggerRanks(triggers, vocab, wakes, config.grid, args.variant, table, blocklists)
     kept = filter_triggers(
         triggers, vocab, wakes, config.grid,
         threshold=args.filter_threshold, variant=args.variant, table=table,
-        blocklists=blocklists,
+        blocklists=blocklists, ranks=ranks,
     )
     result = grid_search(
-        kept, vocab, wakes, config.grid, args.variant, table, blocklists=blocklists
+        kept, vocab, wakes, config.grid, args.variant, table, blocklists=blocklists,
+        ranks=ranks,
     )
     validation = None
     if args.loocv:
@@ -369,7 +382,7 @@ def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
             per_wake[trigger.wake_id].append(trigger)
         validation = cross_validate(
             per_wake, vocab, wakes, config.grid, args.variant, table,
-            k=config.top_k, seed=config.seed, blocklists=blocklists,
+            k=config.top_k, seed=config.seed, blocklists=blocklists, ranks=ranks,
         )
     report = tuning_mod.format_tuning_report(
         result, cross_validation=validation, filtered=(len(kept), len(triggers))

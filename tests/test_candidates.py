@@ -9,6 +9,7 @@ from triggercraft.candidates import (
     Candidate,
     DEFAULT_VOICES,
     Voice,
+    blocked_labels,
     build_blocklist,
     dictionary_candidates,
     export_manifest,
@@ -67,6 +68,13 @@ class TestDictionaryCandidates:
     def test_empty_pronunciations_rejected(self):
         with pytest.raises(ValueError):
             Candidate(label="x", prons=())
+
+
+class TestBlockedLabels:
+    def test_wake_text_explicit_entries_and_extra_normalized(self):
+        wake = WakeWordSpec(id="W", text="Hey  Echo", phones=("HH", "EY"), explicit_blocklist=("ECHO ",))
+        assert blocked_labels(wake) == {"hey echo", "echo"}
+        assert blocked_labels(wake, ["  Alexa", "echo"]) == {"hey echo", "echo", "alexa"}
 
 
 class TestBuildBlocklist:

@@ -1,13 +1,24 @@
 """Scale-factor grid search, trigger filtering, and cross-validation."""
 
+import dataclasses
 import io
 import logging
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triggercraft.candidates import Candidate, build_blocklist, dictionary_candidates, normalize_label
-from triggercraft.distance import CostModel, ScaleFactors
+from triggercraft import tuning
+from triggercraft.candidates import (
+    Candidate,
+    build_blocklist,
+    dictionary_candidates,
+    normalize_label,
+    rank_candidates,
+)
+from triggercraft.distance import CostContext, CostModel, ScaleFactors, WeightTable
 from triggercraft.errors import (
     NoTriggers,
     ParseError,
@@ -17,8 +28,10 @@ from triggercraft.errors import (
 )
 from triggercraft.lexicon import WakeWordSpec
 from triggercraft.tuning import (
+    MAX_GRID_POINTS,
     Grid,
     LabeledTrigger,
+    TriggerRanks,
     best_achievable_rank,
     cross_validate,
     filter_triggers,
@@ -105,6 +118,13 @@ class TestGrid:
     def test_bad_axes_rejected(self, grid):
         with pytest.raises(ValueError):
             grid.axis_values(0)
+
+    def test_cap_checked_on_the_point_count(self):
+        # 101 values per axis is fine on one axis, but 101**3 points is not.
+        assert Grid.uniform(0.0, 1.0, 0.01).axis_count(0) == 101
+        with pytest.raises(ValueError, match=f"cap of {MAX_GRID_POINTS}"):
+            Grid.uniform(0.0, 1.0, 0.01).point_count()
+        assert Grid.extended().point_count() < MAX_GRID_POINTS
 
 
 class TestRankOf:
@@ -422,6 +442,133 @@ class TestCrossValidate:
                 {"WA": [LabeledTrigger("WA", "bobaa")]},
                 self.vocab(), self.WAKES, self.GRID, k=2,
             )
+
+
+class TestWeightFallback:
+    def test_missing_insertion_weight_warned_once_per_run(self, weight_table, caplog):
+        table = dataclasses.replace(
+            weight_table,
+            insertion={p: w for p, w in weight_table.insertion.items() if p != "ZH"},
+        )
+        wakes = [
+            WakeWordSpec(id="WA", text="alpha", phones=("K", "AH")),
+            WakeWordSpec(id="WB", text="beta", phones=("S", "EH")),
+        ]
+        vocab = [cand("kahzh", ("K", "AH", "ZH")), cand("sehzh", ("S", "EH", "ZH")), cand("kah", ("K", "AH"))]
+        triggers = [LabeledTrigger("WA", "kahzh"), LabeledTrigger("WB", "sehzh")]
+        grid = Grid.uniform(0.5, 1.0, 0.5)
+        expected = "no insertion weight for 'ZH'; falling back to 1.0"
+        with caplog.at_level(logging.WARNING):
+            ranks = TriggerRanks(triggers, vocab, wakes, grid, "advanced", table)
+            kept = filter_triggers(triggers, vocab, wakes, grid, threshold=10**6,
+                                   variant="advanced", table=table, ranks=ranks)
+            grid_search(kept, vocab, wakes, grid, "advanced", table, ranks=ranks)
+        assert caplog.messages.count(expected) == 1
+        # The scalar scorer words the same fallback the same way.
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            CostContext(("K", "AH"), CostModel.advanced(ScaleFactors(), table)).cost(("ZH",))
+        assert expected in caplog.messages
+
+
+# ---------------------------------------------------------------------------
+# Property: one shared rank build agrees with rank_of at every grid point.
+
+PHONES = ("B", "AA", "K", "IY", "S")
+_pron = st.lists(st.sampled_from(PHONES), min_size=1, max_size=4).map(tuple)
+_weight = st.sampled_from([0.5, 1.0, 1.5])
+
+
+@st.composite
+def tuning_cases(draw):
+    # Labels may repeat: a trigger's target is the first candidate carrying it.
+    vocab = [
+        Candidate(label=f"w{draw(st.integers(0, 4))}",
+                  prons=tuple(draw(st.lists(_pron, min_size=1, max_size=2))))
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+    labels = sorted({c.label for c in vocab})
+    wakes, triggers, blocklists = [], [], {}
+    for n in range(draw(st.integers(2, 3))):
+        wake = WakeWordSpec(id=f"W{n}", text=f"wake {n}", phones=draw(_pron))
+        wakes.append(wake)
+        chosen = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=2))
+        triggers += [LabeledTrigger(wake.id, label) for label in chosen]
+        others = [label for label in labels if label not in chosen]
+        blocklists[wake.id] = draw(st.lists(st.sampled_from(others), max_size=1)) if others else []
+    lo = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    grid = Grid.uniform(lo, lo + draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([0.25, 0.5])))
+    variant = draw(st.sampled_from(["simple", "advanced"]))
+    table = None
+    if variant == "advanced":
+        # Entries may be missing: the fallback weight must agree too.
+        table = WeightTable(
+            deletion=draw(st.dictionaries(st.sampled_from(PHONES), _weight)),
+            insertion=draw(st.dictionaries(st.sampled_from(PHONES), _weight)),
+            substitution=draw(st.dictionaries(
+                st.tuples(st.sampled_from(PHONES), st.sampled_from(PHONES)).filter(lambda pq: pq[0] != pq[1]),
+                _weight,
+            )),
+        )
+    threshold = draw(st.integers(1, len(vocab)))
+    return vocab, wakes, triggers, blocklists, grid, variant, table, threshold
+
+
+def naive_tuning(vocab, wakes, triggers, blocklists, grid, variant, table, threshold, k):
+    """Filter, search, and each LOOCV fold's point and hits, from plain rank_of
+    calls, point by point, fold by fold."""
+    wake_map = {w.id: w for w in wakes}
+    points = list(grid.points())
+
+    def model_at(point):
+        return CostModel.advanced(point, table) if variant == "advanced" else CostModel.simple(point)
+
+    def rank(trigger, point):
+        wake = wake_map[trigger.wake_id]
+        blocked = {normalize_label(b) for b in (wake.text, *wake.explicit_blocklist,
+                                                *blocklists[wake.id])}
+        kept = [c for c in vocab if normalize_label(c.label) not in blocked]
+        return rank_of(trigger.trigger_label, kept, wake, model_at(point))
+
+    def search(training):
+        best = None
+        for point in points:
+            per_wake = {}
+            for t in training:
+                per_wake[t.wake_id] = max(per_wake.get(t.wake_id, 0), rank(t, point))
+            if best is None or sum(per_wake.values()) < best[1]:
+                best = (point, sum(per_wake.values()), per_wake)
+        return best
+
+    kept = [t for t in triggers if min(rank(t, p) for p in points) <= threshold]
+    fold_points, hits = [], {}
+    for fold, wake in enumerate(wakes):
+        point = search([t for t in triggers if t.wake_id != wake.id])[0]
+        fold_points.append(point)
+        ranked = rank_candidates(vocab, wake, model_at(point), k, fold, blocklist=blocklists[wake.id])
+        top = {item.candidate.label for item in ranked.items}
+        hits[wake.id] = sum(1 for t in triggers if t.wake_id == wake.id and t.trigger_label in top)
+    return kept, search(triggers), fold_points, hits
+
+
+@settings(max_examples=40, deadline=None)
+@given(tuning_cases())
+def test_shared_ranks_match_rank_of_everywhere(case):
+    vocab, wakes, triggers, blocklists, grid, variant, table, threshold = case
+    k = 2
+    kept, (point, objective, per_wake), fold_points, hits = naive_tuning(
+        vocab, wakes, triggers, blocklists, grid, variant, table, threshold, k
+    )
+    ranks = TriggerRanks(triggers, vocab, wakes, grid, variant, table, blocklists)
+    common = dict(variant=variant, table=table, blocklists=blocklists, ranks=ranks)
+    assert filter_triggers(triggers, vocab, wakes, grid, threshold=threshold, **common) == kept
+    result = grid_search(triggers, vocab, wakes, grid, **common)
+    assert (result.best, result.objective, result.per_wake_worst_rank) == (point, objective, per_wake)
+    per_fold = {w.id: [t for t in triggers if t.wake_id == w.id] for w in wakes}
+    with mock.patch.object(tuning, "rank_candidates", wraps=rank_candidates) as held_out_ranking:
+        assert cross_validate(per_fold, vocab, wakes, grid, k=k, seed=0, **common) == hits
+    # Each fold ranks its held-out wake word with the model tuned on the others.
+    assert [call.args[2].scales for call in held_out_ranking.call_args_list] == fold_points
 
 
 class TestFormatTuningReport:

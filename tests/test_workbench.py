@@ -5,8 +5,10 @@ import shutil
 
 import pytest
 
-from triggercraft.candidates import DEFAULT_VOICES, build_blocklist
+from triggercraft import tuning
+from triggercraft.candidates import DEFAULT_VOICES, build_blocklist, dictionary_candidates
 from triggercraft.errors import ConfigError
+from triggercraft.tuning import Grid
 from triggercraft.workbench import load_config, main
 
 pytestmark = pytest.mark.usefixtures("_quiet_root_logger")
@@ -98,6 +100,38 @@ class TestLoadConfig:
             tmp_path, fixtures_dir, grid={"lo": 0.0, "hi": 1.0, "step": 0.5}
         )
         assert load_config(path).grid.point_count() == 27
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"lo": 0.0, "hi": 1.0, "step": 0.0},
+            {"lo": 0.0, "hi": 1.0, "step": float("nan")},
+            {"lo": 1.0, "hi": 0.5, "step": 0.25},
+            {"lo": -0.5, "hi": 1.0, "step": 0.5},
+        ],
+        ids=["zero-step", "nan-step", "hi-below-lo", "negative-lo"],
+    )
+    def test_bad_grid_rejected(self, tmp_path, fixtures_dir, caplog, grid):
+        path = write_config(tmp_path, fixtures_dir, grid=grid)
+        with pytest.raises(ConfigError, match="bad 'grid' entry"):
+            load_config(path)
+        caplog.clear()
+        assert main(["--config", str(path), "blocklist", "--wake", "VA1"]) == 1
+        assert "bad grid axis" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    # 1e9 values on one axis, or 101 on each of three: both over the cap,
+    # both caught before any axis is listed.
+    @pytest.mark.parametrize("step", [1e-9, 0.01], ids=["long-axis", "many-points"])
+    def test_grid_over_cap_rejected_without_listing(self, tmp_path, fixtures_dir, monkeypatch, step):
+        def listed(self, axis):
+            raise AssertionError("grid values were listed")
+
+        monkeypatch.setattr(Grid, "axis_values", listed)
+        path = write_config(tmp_path, fixtures_dir, grid={"lo": 0.0, "hi": 1.0, "step": step})
+        with pytest.raises(ConfigError, match=f"cap of {tuning.MAX_GRID_POINTS}"):
+            load_config(path)
+        assert main(["--config", str(path), "blocklist", "--wake", "VA1"]) == 1
 
     def test_bad_scales(self, tmp_path, fixtures_dir):
         path = write_config(tmp_path, fixtures_dir, scales={"s": 1.0})
@@ -311,6 +345,41 @@ class TestTuneCommand:
                   "--triggers", str(fixtures_dir / "triggers.tsv"))
         report = (out / "tuning_report.tsv").read_text()
         assert "kept\t4\tof\t4" in report
+
+    def test_advanced_loocv_report_matches_golden(self, config_path, tmp_path, fixtures_dir):
+        out = run(config_path, tmp_path / "out", "tune",
+                  "--triggers", str(fixtures_dir / "triggers.tsv"),
+                  "--variant", "advanced", "--loocv")
+        golden = fixtures_dir / "golden" / "tuning_report_advanced.tsv"
+        assert (out / "tuning_report.tsv").read_bytes() == golden.read_bytes()
+
+    def test_one_rank_pass_per_wake(self, config_path, tmp_path, fixtures_dir, monkeypatch,
+                                    mini_dictionary, wake_by_id):
+        scorers = []
+
+        class CountingScorer(tuning._GridScorer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.scored = 0
+                scorers.append(self)
+
+            def best_cost(self, prons):
+                self.scored += 1
+                return super().best_cost(prons)
+
+        monkeypatch.setattr(tuning, "_GridScorer", CountingScorer)
+        run(config_path, tmp_path / "out", "tune",
+            "--triggers", str(fixtures_dir / "triggers.tsv"), "--loocv")
+        # The phrase trigger "a lesson" joins the dictionary words as a
+        # candidate; VA4 has no triggers, so it gets no pass.
+        labels = [c.label for c in dictionary_candidates(mini_dictionary)] + ["a lesson"]
+        expected = {}
+        for wake_id in ("VA1", "VA2", "VA3"):
+            wake = wake_by_id[wake_id]
+            blocked = build_blocklist(wake, mini_dictionary)
+            expected[wake.phones] = sum(1 for label in labels if label not in blocked)
+        assert len(scorers) == 3
+        assert {scorer.wake: scorer.scored for scorer in scorers} == expected
 
     def test_reruns_are_byte_identical(self, config_path, tmp_path, fixtures_dir):
         first = run(config_path, tmp_path / "a", "tune",
