@@ -11,9 +11,10 @@ from __future__ import annotations
 import logging
 import random
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .distance import CostContext, CostModel, DistanceBreakdown, distance_to_wakeword
 from .errors import ConfigError, EmptyVocabulary, OutOfVocabulary
@@ -64,18 +65,11 @@ def dictionary_candidates(dictionary: PronouncingDictionary) -> list[Candidate]:
     return [
         Candidate(
             label=word.lower(),
-            prons=tuple(v.phones for v in dictionary.lookup(word)),
+            prons=tuple(v.phones for v in variants),
             source="dictionary",
         )
-        for word in dictionary.words()
+        for word, variants in dictionary.items()
     ]
-
-
-def _is_contiguous_subsequence(needle: PhoneSeq, haystack: PhoneSeq) -> bool:
-    k = len(needle)
-    if k > len(haystack):
-        return False
-    return any(haystack[i : i + k] == needle for i in range(len(haystack) - k + 1))
 
 
 def blocked_labels(wake: WakeWordSpec, extra: Iterable[str] = ()) -> set[str]:
@@ -95,11 +89,11 @@ def build_blocklist(
     word, or a piece of it, by sound).
     """
     blocked = blocked_labels(wake)
-    for word in dictionary.words():
-        for variant in dictionary.lookup(word):
-            if _is_contiguous_subsequence(variant.phones, wake.phones):
-                blocked.add(normalize_label(word))
-                break
+    phones = wake.phones
+    pieces = {phones[i:j] for i in range(len(phones)) for j in range(i + 1, len(phones) + 1)}
+    for word, variants in dictionary.items():
+        if any(variant.phones in pieces for variant in variants):
+            blocked.add(normalize_label(word))
     return blocked
 
 
@@ -123,33 +117,6 @@ class RankedList:
     boundary_pool_size: int
 
 
-def _chunk_costs(args):
-    wake_phones, model, prons_batch = args
-    ctx = CostContext(wake_phones, model)
-    return [ctx.best_cost(prons) for prons in prons_batch]
-
-
-def _candidate_costs(
-    wake: WakeWordSpec,
-    model: CostModel,
-    vocab: Sequence[Candidate],
-    workers: int,
-) -> list[float]:
-    if workers <= 1 or len(vocab) < 2 * workers:
-        ctx = CostContext(wake.phones, model)
-        return [ctx.best_cost(c.prons) for c in vocab]
-    chunk = (len(vocab) + workers - 1) // workers
-    batches = [
-        (wake.phones, model, [c.prons for c in vocab[start : start + chunk]])
-        for start in range(0, len(vocab), chunk)
-    ]
-    costs: list[float] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_chunk_costs, batches):
-            costs.extend(part)
-    return costs
-
-
 def rank_candidates(
     vocab: Sequence[Candidate],
     wake: WakeWordSpec,
@@ -157,7 +124,6 @@ def rank_candidates(
     k: int,
     seed: int,
     blocklist: Iterable[str] = (),
-    workers: int = 1,
 ) -> RankedList:
     """The K nearest candidates to ``wake``, deterministically.
 
@@ -177,13 +143,19 @@ def rank_candidates(
     if not kept:
         raise EmptyVocabulary(f"no candidates left for {wake.id!r} after blocklist filtering")
 
-    costs = _candidate_costs(wake, model, kept, workers)
-    order = sorted(range(len(kept)), key=lambda idx: (costs[idx], kept[idx].label, idx))
+    warned: set[tuple] = set()
+    costs = CostContext(wake.phones, model, warned).best_costs([c.prons for c in kept])
+
+    def by_cost(idx: int) -> tuple:
+        return (costs[idx], kept[idx].label, idx)
+
     if len(kept) <= k:
-        selected = order
+        selected = sorted(range(len(kept)), key=by_cost)
         pool_size = 0
     else:
-        boundary = costs[order[k - 1]]
+        # Only candidates at or below the K-th smallest cost can be listed.
+        boundary = np.partition(costs, k - 1)[k - 1]
+        order = sorted(np.flatnonzero(costs <= boundary).tolist(), key=by_cost)
         below = [idx for idx in order if costs[idx] < boundary]
         pool = [idx for idx in order if costs[idx] == boundary]
         slots = k - len(below)
@@ -199,7 +171,7 @@ def rank_candidates(
     items = []
     for position, idx in enumerate(selected, 1):
         cand = kept[idx]
-        breakdown = distance_to_wakeword(wake, cand.prons, model)
+        breakdown = distance_to_wakeword(wake, cand.prons, model, warned)
         items.append(RankedItem(position, cand, breakdown.L, breakdown))
     return RankedList(
         wake=wake, model=model, k=k, seed=seed, items=items,

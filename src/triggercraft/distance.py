@@ -12,14 +12,35 @@ Three model variants share one implementation:
 * ``unweighted`` -- every operation costs 1.
 * ``simple`` -- per-operation scale factors, no per-phone weights.
 * ``advanced`` -- scale factors multiplied by per-phone weight tables.
+
+Costs come from one batched kernel, :meth:`CostContext.best_costs`.  It
+encodes the phones of every pronunciation it is given as small integers,
+builds an ``(n, P)`` substitution table and a ``(P,)`` insertion table for
+the P phones that occur, groups the pronunciations by length m, and runs
+the dynamic program over each group at once: one ``(m, batch)`` array of
+phone codes, one DP row per wake-word position.
+
+The kernel is bit-identical to the scalar recurrence that :func:`align`
+runs.  Each cell performs the same IEEE-754 additions on the same
+operands -- ``diag + sub``, ``up + del``, ``left + ins`` -- and keeps the
+smallest; a minimum of three finite non-negative values does not depend
+on the order they are compared in.  The first row is the running sum of
+insertion costs, added left to right, and the first column the running
+sum of deletion costs, as in the scalar loop.  A candidate's cost is the
+minimum over its variants, so the per-candidate reduction is exact too.
+:func:`align` keeps its own scalar DP because it also records the
+operations for the backtrack.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import EmptyWakeWord, NoPronunciation
 from .lexicon import PhoneSeq, WakeWordSpec
@@ -189,7 +210,9 @@ class CostContext:
 
     Building a context precomputes scaled substitution rows and deletion
     costs for every wake-word position.  Missing advanced-table entries
-    fall back to a neutral weight of 1 and are logged once per context.
+    fall back to a neutral weight of 1 and are logged once per ``warned``
+    set: by default one per context, or one that callers share between
+    the contexts of one run.
     """
 
     __slots__ = (
@@ -197,13 +220,13 @@ class CostContext:
         "_sub_weights", "_ins_costs", "_ins_weights", "_warned",
     )
 
-    def __init__(self, wake: PhoneSeq, model: CostModel):
+    def __init__(self, wake: PhoneSeq, model: CostModel, warned: set[tuple] | None = None):
         if not wake:
             raise EmptyWakeWord("wake word has no phones")
         self.wake = tuple(wake)
         self.model = model
         self.n = len(wake)
-        self._warned: set[tuple] = set()
+        self._warned: set[tuple] = set() if warned is None else warned
         scales = model.scales
         advanced = model.variant == "advanced"
         table = model.table
@@ -250,44 +273,75 @@ class CostContext:
     def cost(self, cand: PhoneSeq) -> float:
         """Unnormalized optimal rewrite cost (the distance is ``cost / n``).
 
-        This is the value-only fast path used for bulk ranking; it performs
-        the same arithmetic as :func:`align` and returns bit-identical
-        totals.
+        Bit-identical to the total :func:`align` computes for ``cand``.
         """
-        ins_costs = [self._ins_cost(q) for q in cand]
-        prev = [0.0] * (len(cand) + 1)
-        acc = 0.0
-        for j, c in enumerate(ins_costs, 1):
-            acc += c
-            prev[j] = acc
-        for position in range(self.n):
-            del_cost = self._del_costs[position]
-            row = self._sub_rows[position]
-            sub_cost = self._sub_cost
-            cur = [prev[0] + del_cost]
-            append = cur.append
-            diag = prev[0]
-            for j, q in enumerate(cand, 1):
-                c = row.get(q)
-                if c is None:
-                    c = sub_cost(position, q)
-                best = diag + c
-                alt = prev[j] + del_cost
-                if alt < best:
-                    best = alt
-                alt = cur[j - 1] + ins_costs[j - 1]
-                if alt < best:
-                    best = alt
-                append(best)
-                diag = prev[j]
-            prev = cur
-        return prev[-1]
+        return float(self.best_costs([(cand,)])[0])
 
     def best_cost(self, prons: Sequence[PhoneSeq]) -> float:
         """Minimum rewrite cost over a candidate's pronunciation variants."""
         if not prons:
             raise NoPronunciation("candidate has no pronunciations")
-        return min(self.cost(p) for p in prons)
+        return float(self.best_costs([prons])[0])
+
+    def best_costs(self, prons_per_candidate: Sequence[Sequence[PhoneSeq]]) -> np.ndarray:
+        """Minimum rewrite cost over each candidate's variants, one float64 each.
+
+        Every pronunciation is scored in one batch per pronunciation length
+        (see the module docstring); the weight lookups, and so the fallback
+        warnings, are those of the phones that occur in this call.
+        """
+        counts = np.fromiter(map(len, prons_per_candidate), dtype=np.intp,
+                             count=len(prons_per_candidate))
+        if not counts.all():
+            raise NoPronunciation("candidate has no pronunciations")
+        prons = list(itertools.chain.from_iterable(prons_per_candidate))
+        lengths = np.fromiter(map(len, prons), dtype=np.intp, count=len(prons))
+        index = _PhoneIndex()
+        codes = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(prons)),
+            dtype=np.intp, count=int(lengths.sum()),
+        )
+        phones = list(index)
+        sub = np.array([[self._sub_cost(i, q) for q in phones] for i in range(self.n)])
+        ins = np.array([self._ins_cost(q) for q in phones])
+        starts = np.cumsum(lengths) - lengths
+
+        pron_costs = np.empty(len(prons))
+        order = np.argsort(lengths, kind="stable")
+        sizes = np.bincount(lengths)
+        end = 0
+        for m in np.flatnonzero(sizes):
+            group = order[end : end + sizes[m]]
+            end += sizes[m]
+            # (m, batch) phone codes: row j holds every pronunciation's j-th phone.
+            batch = codes[starts[group] + np.arange(m)[:, None]]
+            pron_costs[group] = self._dp(batch, ins[batch], sub)
+        return np.minimum.reduceat(pron_costs, np.cumsum(counts) - counts)
+
+    def _dp(self, batch: np.ndarray, ins_costs: np.ndarray, sub: np.ndarray) -> np.ndarray:
+        """Rewrite cost of each column of a ``(m, batch)`` block of phone codes."""
+        m, width = batch.shape
+        prev = np.zeros((m + 1, width))
+        np.cumsum(ins_costs, axis=0, out=prev[1:])
+        cur = np.empty_like(prev)
+        for position, del_cost in enumerate(self._del_costs):
+            # Substitution and deletion depend on the previous row only.
+            vertical = prev[:-1] + sub[position][batch]
+            np.minimum(vertical, prev[1:] + del_cost, out=vertical)
+            np.add(prev[0], del_cost, out=cur[0])
+            for j in range(m):
+                np.add(cur[j], ins_costs[j], out=cur[j + 1])
+                np.minimum(vertical[j], cur[j + 1], out=cur[j + 1])
+            prev, cur = cur, prev
+        return prev[m]
+
+
+class _PhoneIndex(dict):
+    """Phone symbol -> small integer code, assigned in order of first use."""
+
+    def __missing__(self, phone: str) -> int:
+        code = self[phone] = len(self)
+        return code
 
 
 def align(wake: PhoneSeq, cand: PhoneSeq, model: CostModel) -> DistanceBreakdown:
@@ -395,14 +449,16 @@ def distance_to_wakeword(
     wake: WakeWordSpec,
     cand_prons: Sequence[PhoneSeq],
     model: CostModel,
+    warned: set[tuple] | None = None,
 ) -> DistanceBreakdown:
     """Best-variant distance: the minimum over a candidate's pronunciations.
 
-    Ties keep the lowest variant index.
+    Ties keep the lowest variant index.  ``warned`` is passed to the
+    :class:`CostContext`, so a caller can log each weight fallback once.
     """
     if not cand_prons:
         raise NoPronunciation(f"no pronunciations to score against {wake.id!r}")
-    ctx = CostContext(wake.phones, model)
+    ctx = CostContext(wake.phones, model, warned)
     best: DistanceBreakdown | None = None
     for pron in cand_prons:
         breakdown = _align_in_context(ctx, pron)

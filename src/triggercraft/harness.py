@@ -158,6 +158,23 @@ def parse_event_log(lines: Iterable[str]) -> list[TriggerEvent]:
     return events
 
 
+def _whole_number(value, key: str) -> int:
+    """A JSON integer, or a float with no fractional part; nothing else."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be a whole number, got {value!r}")
+
+
+def _flag(record: dict, key: str) -> bool:
+    """A JSON boolean, false when the key is absent; nothing else."""
+    value = record.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def parse_verification_log(
     lines: Iterable[str],
 ) -> list[tuple[VerificationResult, ActivationObservation]]:
@@ -175,14 +192,14 @@ def parse_verification_log(
         try:
             verification = VerificationResult(
                 event=event,
-                replays=int(record.get("replays", 10)),
-                hits=int(record["hits"]),
+                replays=_whole_number(record.get("replays", 10), "replays"),
+                hits=_whole_number(record["hits"], "hits"),
             )
             observation = ActivationObservation(
                 event=event,
                 led_on_s=float(record.get("led_on_s", 0.0)),
-                voice_response=bool(record.get("voice_response", False)),
-                pattern_cloud_signal=bool(record.get("cloud_pattern", False)),
+                voice_response=_flag(record, "voice_response"),
+                pattern_cloud_signal=_flag(record, "cloud_pattern"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad verification record: {exc!r}", lineno) from None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, ItemsView
 
 from .errors import OutOfVocabulary, ParseError, UnknownPhone
 
@@ -186,6 +186,10 @@ class PronouncingDictionary:
     def words(self) -> Iterator[str]:
         return iter(self._entries)
 
+    def items(self) -> ItemsView[str, list[Pronunciation]]:
+        """(normalized word, variants in variant order) pairs; do not mutate."""
+        return self._entries.items()
+
     def entry_map(self) -> dict[str, list[PhoneSeq]]:
         """Plain word -> list-of-phone-sequences view (for comparisons)."""
         return {w: [v.phones for v in vs] for w, vs in self._entries.items()}
@@ -196,6 +200,18 @@ class PronouncingDictionary:
             for pron in variants:
                 name = word if pron.variant_index == 1 else f"{word}({pron.variant_index})"
                 stream.write(f"{name}  {' '.join(pron.phones)}\n")
+
+
+class _SymbolCache(dict):
+    """Dictionary token -> inventory symbol, each distinct token parsed once."""
+
+    def __init__(self, inventory: PhoneInventory):
+        super().__init__()
+        self.inventory = inventory
+
+    def __missing__(self, token: str) -> str:
+        symbol = self[token] = parse_phone(token, self.inventory).symbol
+        return symbol
 
 
 def load_dictionary(
@@ -212,6 +228,7 @@ def load_dictionary(
     if inventory is None:
         inventory = PhoneInventory.default()
     dictionary = PronouncingDictionary(inventory=inventory)
+    symbols = _SymbolCache(inventory)
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith(_COMMENT_PREFIX):
@@ -229,7 +246,7 @@ def load_dictionary(
         else:
             word, variant_index = normalize_word(name), 1
         try:
-            phones = tuple(parse_phone(t, inventory).symbol for t in tokens)
+            phones = tuple(map(symbols.__getitem__, tokens))
             dictionary.add(Pronunciation(word, variant_index, phones))
         except UnknownPhone as exc:
             raise UnknownPhone(f"line {lineno}: {exc}") from None

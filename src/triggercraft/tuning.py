@@ -191,17 +191,14 @@ def rank_of(
     the same rank.  Raises :class:`UnknownLabel` when the label is absent.
     """
     wanted = normalize_label(label)
-    ctx = CostContext(wake.phones, model)
-    costs = []
-    target = None
-    for cand in vocab:
-        cost = ctx.best_cost(cand.prons)
-        costs.append(cost)
-        if target is None and normalize_label(cand.label) == wanted:
-            target = cost
+    costs = CostContext(wake.phones, model).best_costs([c.prons for c in vocab])
+    target = next(
+        (cost for cand, cost in zip(vocab, costs) if normalize_label(cand.label) == wanted),
+        None,
+    )
     if target is None:
         raise UnknownLabel(f"label {label!r} not in vocabulary")
-    return 1 + sum(1 for c in costs if c < target)
+    return 1 + int(np.count_nonzero(costs < target))
 
 
 # ---------------------------------------------------------------------------

@@ -330,8 +330,7 @@ def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
         }
     for name, vocab in vocab_by_name.items():
         ranked = rank_candidates(
-            vocab, wake, model, config.top_k, config.seed,
-            blocklist=blocked, workers=args.workers,
+            vocab, wake, model, config.top_k, config.seed, blocklist=blocked
         )
         suffix = f"{args.wake}_{name}".replace(" ", "_")
         writer.write(f"rank_{suffix}.tsv", format_ranked_list(ranked))
@@ -512,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ngram-sizes", type=_int_list, default=(1, 2, 3),
         help="comma-separated n-gram sizes (default 1,2,3)",
     )
-    p_rank.add_argument("--workers", type=int, default=1)
     p_rank.set_defaults(func=cmd_rank)
 
     p_tune = sub.add_parser("tune", help="grid-search the scale factors")

@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from triggercraft.distance import CostModel, ScaleFactors, WeightTable
 
 # A compact phone alphabet for randomized tests.  Real inventory symbols,
@@ -133,3 +135,16 @@ def random_models(rng: random.Random, alphabet=ALPHABET) -> list[CostModel]:
         CostModel.simple(scales),
         CostModel.advanced(scales, random_weight_table(rng, alphabet)),
     ]
+
+
+def one_at_a_time(best_costs):
+    """``CostContext.best_costs`` run on a batch of one candidate per call.
+
+    Patched over the bulk method, it makes any caller score every
+    candidate alone, so outputs can be compared against bulk scoring.
+    """
+
+    def scored_singly(ctx, prons_per_candidate):
+        return np.array([best_costs(ctx, [prons])[0] for prons in prons_per_candidate])
+
+    return scored_singly

@@ -26,6 +26,7 @@ from triggercraft.distance import (
     ScaleFactors,
     WeightTable,
     align,
+    distance_to_wakeword,
 )
 from triggercraft.harness import (
     TriggerEvent,
@@ -303,7 +304,7 @@ def test_measurement_arithmetic(report):
 
 
 def test_large_vocabulary_ranking_under_budget(report, weight_table):
-    with report("130k-word shortlist build finishes in budget, worker-count invariant"):
+    with report("130k-word shortlist build finishes in budget, batch-size invariant"):
         rng = random.Random(20260818)
         symbols = sorted(PhoneInventory.default().symbols)
         lines = []
@@ -323,11 +324,14 @@ def test_large_vocabulary_ranking_under_budget(report, weight_table):
         assert len(ranked.items) == 100
         assert [i.rank for i in ranked.items] == list(range(1, 101))
 
-        parallel = rank_candidates(vocab, wake, model, k=100, seed=3, workers=2)
-        assert [
-            (i.rank, i.candidate.label, i.distance) for i in ranked.items
-        ] == [(i.rank, i.candidate.label, i.distance) for i in parallel.items]
-        assert ranked.boundary_pool_size == parallel.boundary_pool_size
+        # Batch invariance: bulk costs equal batches of one and the separate
+        # backtracking DP, bit for bit.
+        ctx = CostContext(wake.phones, model)
+        bulk = ctx.best_costs([c.prons for c in vocab])
+        for idx in random.Random(11).sample(range(len(vocab)), 2000):
+            prons = vocab[idx].prons
+            assert bulk[idx] == ctx.best_cost(prons)
+            assert bulk[idx] / len(wake.phones) == distance_to_wakeword(wake, prons, model).L
 
 
 def test_cli_outputs_match_golden_files(report, fixtures_dir, tmp_path):

@@ -4,7 +4,10 @@ import logging
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import ALPHABET, oracle_cost, one_at_a_time
 from triggercraft.candidates import (
     Candidate,
     DEFAULT_VOICES,
@@ -17,9 +20,9 @@ from triggercraft.candidates import (
     normalize_label,
     rank_candidates,
 )
-from triggercraft.distance import CostModel, align
+from triggercraft.distance import CostContext, CostModel, align
 from triggercraft.errors import ConfigError, EmptyVocabulary
-from triggercraft.lexicon import WakeWordSpec
+from triggercraft.lexicon import WakeWordSpec, load_dictionary
 
 UNWEIGHTED = CostModel.unweighted()
 
@@ -98,6 +101,35 @@ class TestBuildBlocklist:
         # drops a phone from COMPUTER.  Neither is a contiguous piece.
         assert "lexus" not in build_blocklist(wake_by_id["VA1"], mini_dictionary)
         assert "commuter" not in build_blocklist(wake_by_id["VA2"], mini_dictionary)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Two phones: short words collide with the wake word's pieces often.
+        wake=st.lists(st.sampled_from(ALPHABET[:2]), min_size=1, max_size=5).map(tuple),
+        words=st.lists(
+            st.lists(st.lists(st.sampled_from(ALPHABET[:2]), min_size=1, max_size=4),
+                     min_size=1, max_size=2),
+            min_size=1, max_size=20,
+        ),
+    )
+    @example(wake=("AA", "B", "AA"), words=[[["AA", "AA"]], [["B", "AA"]]])  # gapped vs contiguous
+    def test_matches_a_window_scan(self, wake, words):
+        dictionary = load_dictionary(
+            f"W{w}({v + 1})  {' '.join(phones)}\n"
+            for w, variants in enumerate(words)
+            for v, phones in enumerate(variants)
+        )
+
+        def is_piece(phones):
+            return any(wake[i : i + len(phones)] == phones for i in range(len(wake)))
+
+        expected = {"wake"} | {
+            f"w{w}"
+            for w, variants in enumerate(words)
+            if any(is_piece(tuple(p)) for p in variants)
+        }
+        spec = WakeWordSpec(id="X", text="wake", phones=wake)
+        assert build_blocklist(spec, dictionary) == expected
 
 
 class TestRankCandidates:
@@ -200,15 +232,52 @@ class TestRankCandidates:
         with pytest.raises(ValueError):
             rank_candidates(tie_vocab(), TIE_WAKE, UNWEIGHTED, k=0, seed=0)
 
-    def test_parallel_equals_sequential(self, mini_dictionary, wake_by_id):
+    def test_batches_of_one_equal_bulk(self, mini_dictionary, wake_by_id, monkeypatch):
         wake = wake_by_id["VA2"]
         vocab = dictionary_candidates(mini_dictionary)
-        lone = rank_candidates(vocab, wake, UNWEIGHTED, k=10, seed=3, workers=1)
-        pooled = rank_candidates(vocab, wake, UNWEIGHTED, k=10, seed=3, workers=2)
-        assert [(i.rank, i.candidate.label, i.distance) for i in lone.items] == [
-            (i.rank, i.candidate.label, i.distance) for i in pooled.items
+        bulk = rank_candidates(vocab, wake, UNWEIGHTED, k=10, seed=3)
+        monkeypatch.setattr(CostContext, "best_costs", one_at_a_time(CostContext.best_costs))
+        single = rank_candidates(vocab, wake, UNWEIGHTED, k=10, seed=3)
+        assert [(i.rank, i.candidate.label, i.distance) for i in bulk.items] == [
+            (i.rank, i.candidate.label, i.distance) for i in single.items
         ]
-        assert lone.boundary_pool_size == pooled.boundary_pool_size
+        assert bulk.boundary_pool_size == single.boundary_pool_size
+
+
+def full_sort_top_k(vocab, wake, model, k, seed):
+    """Reference selection: sort every candidate, then apply the tie rule."""
+    costs = [min(oracle_cost(wake.phones, p, model) for p in c.prons) for c in vocab]
+    order = sorted(range(len(vocab)), key=lambda idx: (costs[idx], vocab[idx].label, idx))
+    if len(vocab) <= k:
+        return order, 0
+    boundary = costs[order[k - 1]]
+    below = [idx for idx in order if costs[idx] < boundary]
+    pool = [idx for idx in order if costs[idx] == boundary]
+    if k - len(below) == len(pool):
+        return below + pool, 0
+    drawn = random.Random(seed).sample(pool, k - len(below))
+    return below + sorted(drawn, key=order.index), len(pool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prons=st.lists(
+        st.lists(st.lists(st.sampled_from(ALPHABET[:3]), min_size=1, max_size=3).map(tuple),
+                 min_size=1, max_size=2),
+        min_size=1, max_size=25,
+    ),
+    labels=st.lists(st.sampled_from("abcde"), min_size=25, max_size=25),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 1000),
+)
+def test_top_k_matches_a_full_sort(prons, labels, k, seed):
+    # Three phones and short words: many exact ties, duplicate labels.
+    wake = WakeWordSpec(id="T", text="wake", phones=("AA", "B", "IY"))
+    vocab = [Candidate(label, tuple(p)) for label, p in zip(labels, prons)]
+    ranked = rank_candidates(vocab, wake, UNWEIGHTED, k=k, seed=seed)
+    order, pool_size = full_sort_top_k(vocab, wake, UNWEIGHTED, k, seed)
+    assert [id(i.candidate) for i in ranked.items] == [id(vocab[idx]) for idx in order]
+    assert ranked.boundary_pool_size == pool_size
 
 
 class TestExtractNgrams:

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ALPHABET,
@@ -14,6 +16,7 @@ from oracles import (
     random_phones,
     random_weight_table,
 )
+from triggercraft.candidates import Candidate, rank_candidates
 from triggercraft.distance import (
     CostContext,
     CostModel,
@@ -24,6 +27,7 @@ from triggercraft.distance import (
     distance_to_wakeword,
 )
 from triggercraft.errors import EmptyWakeWord, FormatError, NoPronunciation
+from triggercraft.lexicon import WakeWordSpec
 
 ECHO = ("EH", "K", "OW")
 GECKO = ("G", "EH", "K", "OW")
@@ -256,6 +260,60 @@ class TestCostContext:
         # One warning for the missing substitution pair, one for the missing
         # insertion weight -- and none repeated on the second call.
         assert len(relevant) == 2
+
+
+def phone_seqs(lo, hi):
+    return st.lists(st.sampled_from(ALPHABET), min_size=lo, max_size=hi).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wake=phone_seqs(1, 4),
+    candidates=st.lists(
+        st.lists(phone_seqs(0, 5), min_size=1, max_size=4), min_size=1, max_size=6
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_best_costs_match_the_oracle(wake, candidates, seed):
+    # Variants of mixed lengths, the empty pronunciation included, so one
+    # call spans several length groups; every model variant, bit for bit.
+    models = random_models(random.Random(seed))
+    per_pron = {p: oracle_costs(wake, p, models) for prons in candidates for p in prons}
+    for index, model in enumerate(models):
+        expected = [min(per_pron[p][index] for p in prons) for prons in candidates]
+        assert CostContext(wake, model).best_costs(candidates).tolist() == expected
+
+
+class TestBulkWarnings:
+    WAKE = WakeWordSpec(id="W", text="wake", phones=("B", "AA", "K"))
+
+    @staticmethod
+    def model_without(kind, phone):
+        table = random_weight_table(random.Random(5))
+        mapping = getattr(table, kind)
+        del mapping[phone]
+        return CostModel.advanced(ScaleFactors(1.0, 1.0, 1.0), table)
+
+    @staticmethod
+    def fallbacks(caplog):
+        return [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
+
+    def test_phone_in_no_candidate_is_never_looked_up(self, caplog):
+        model = self.model_without("insertion", "T")
+        vocab = [Candidate(f"c{i}", (("B", "IY") * (i % 3 + 1),)) for i in range(8)]
+        with caplog.at_level(logging.WARNING, logger="triggercraft.distance"):
+            CostContext(self.WAKE.phones, model).best_costs([c.prons for c in vocab])
+            rank_candidates(vocab, self.WAKE, model, k=3, seed=0)
+        assert self.fallbacks(caplog) == []
+
+    def test_missing_weight_warned_once_per_ranking(self, caplog):
+        model = self.model_without("insertion", "S")
+        vocab = [Candidate(f"c{i}", (("B", "AA", "K") + ("S",) * (i % 4 + 1),)) for i in range(8)]
+        with caplog.at_level(logging.WARNING, logger="triggercraft.distance"):
+            rank_candidates(vocab, self.WAKE, model, k=3, seed=0)
+            assert self.fallbacks(caplog) == ["no insertion weight for 'S'; falling back to 1.0"]
+            rank_candidates(vocab, self.WAKE, model, k=3, seed=0)
+        assert len(self.fallbacks(caplog)) == 2
 
 
 class TestDistanceToWakeword:

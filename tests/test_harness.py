@@ -104,6 +104,33 @@ class TestParseVerificationLog:
             parse_verification_log(io.StringIO(self.BASE + ', "replays": 5, "hits": 6}\n'))
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("fields", [
+        '"hits": 2, "voice_response": "false"',
+        '"hits": 2, "cloud_pattern": "false"',
+        '"hits": 2, "voice_response": 0',
+        '"hits": 2, "cloud_pattern": null',
+        '"hits": 2.9',
+        '"hits": "2"',
+        '"hits": true',
+        '"hits": 2, "replays": 9.5',
+        '"hits": 2, "replays": "10"',
+    ], ids=[
+        "voice-string", "cloud-string", "voice-number", "cloud-null", "hits-fraction",
+        "hits-string", "hits-boolean", "replays-fraction", "replays-string",
+    ])
+    def test_signals_must_be_booleans_and_counts_integral(self, fields):
+        lines = io.StringIO("\n" + self.BASE + ", " + fields + "}\n")
+        with pytest.raises(ParseError) as err:
+            parse_verification_log(lines)
+        assert err.value.line == 2
+
+    def test_integral_float_counts_accepted(self):
+        line = self.BASE + ', "replays": 10.0, "hits": 3.0, "voice_response": false}\n'
+        [(ver, obs)] = parse_verification_log(io.StringIO(line))
+        assert (ver.replays, ver.hits) == (10, 3)
+        assert type(ver.hits) is int and type(ver.replays) is int
+        assert obs.voice_response is False
+
     def test_fixture_file(self, fixtures_dir):
         with open(fixtures_dir / "verification.jsonl") as fh:
             assert len(parse_verification_log(fh)) == 100

@@ -5,8 +5,10 @@ import shutil
 
 import pytest
 
+from oracles import one_at_a_time
 from triggercraft import tuning
 from triggercraft.candidates import DEFAULT_VOICES, build_blocklist, dictionary_candidates
+from triggercraft.distance import CostContext
 from triggercraft.errors import ConfigError
 from triggercraft.tuning import Grid
 from triggercraft.workbench import load_config, main
@@ -243,6 +245,21 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_fractional_hits_in_verification_log(self, config_path, tmp_path, fixtures_dir):
+        bad = tmp_path / "verification.jsonl"
+        bad.write_text(
+            '{"ts": "2019-10-01T12:00:36Z", "media": "m", "progress_s": 1.0,'
+            ' "speaker": "VA1", "hits": 2.9}\n',
+            encoding="utf-8",
+        )
+        code = main(
+            ["--config", config_path, "--out", str(tmp_path), "harness",
+             "--events", str(fixtures_dir / "events.jsonl"),
+             "--verification", str(bad),
+             "--adjudication", str(fixtures_dir / "adjudication.jsonl")]
+        )
+        assert code == 2
+
 
 def run(config_path, out_dir, *argv):
     code = main(["--config", config_path, "--no-timestamp", "--out", str(out_dir), *argv])
@@ -293,14 +310,12 @@ class TestRankCommand:
         header = (out / "rank_VA1_dictionary.tsv").read_text().splitlines()[0]
         assert header.startswith("# model=advanced")
 
-    def test_workers_do_not_change_output(self, config_path, tmp_path):
-        sequential = run(config_path, tmp_path / "a", "rank", "--wake", "VA1")
-        parallel = run(config_path, tmp_path / "b", "rank", "--wake", "VA1",
-                       "--workers", "2")
-        assert (
-            (sequential / "rank_VA1_dictionary.tsv").read_bytes()
-            == (parallel / "rank_VA1_dictionary.tsv").read_bytes()
-        )
+    def test_batches_of_one_do_not_change_output(self, config_path, tmp_path, monkeypatch):
+        bulk = run(config_path, tmp_path / "a", "rank", "--wake", "VA1")
+        monkeypatch.setattr(CostContext, "best_costs", one_at_a_time(CostContext.best_costs))
+        single = run(config_path, tmp_path / "b", "rank", "--wake", "VA1")
+        for name in ("rank_VA1_dictionary.tsv", "manifest_VA1_dictionary.tsv"):
+            assert (bulk / name).read_bytes() == (single / name).read_bytes()
 
     def test_transcript_source(self, config_path, tmp_path, fixtures_dir):
         out = run(config_path, tmp_path / "out", "rank", "--wake", "VA1",
