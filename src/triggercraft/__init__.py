@@ -15,6 +15,7 @@ from .candidates import (
     Candidate,
     RankedList,
     SynthesisManifest,
+    Vocabulary,
     Voice,
     build_blocklist,
     dictionary_candidates,

@@ -4,6 +4,8 @@ Candidates come from two sources: whole dictionary words, and 1/2/3-grams
 pulled from subtitle-style transcripts.  Ranking computes each candidate's
 distance to a wake word and keeps the top K, with a seeded draw to resolve
 candidates tied at the cut-off so the list size is exact and reproducible.
+A :class:`Vocabulary` encodes its candidates for scoring once, so every
+wake word and model ranked against it shares that work.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .distance import CostContext, CostModel, DistanceBreakdown, distance_to_wakeword
+from .distance import CostContext, CostModel, DistanceBreakdown, PhoneCodes, distance_to_wakeword
 from .errors import ConfigError, EmptyVocabulary, OutOfVocabulary
 from .lexicon import PhoneSeq, PronouncingDictionary, WakeWordSpec, phrase_phones
 
@@ -27,6 +30,7 @@ __all__ = [
     "RankedItem",
     "RankedList",
     "SynthesisManifest",
+    "Vocabulary",
     "Voice",
     "blocked_labels",
     "build_blocklist",
@@ -58,6 +62,54 @@ class Candidate:
 
 def normalize_label(label: str) -> str:
     return " ".join(label.lower().split())
+
+
+class Vocabulary(Sequence):
+    """An immutable sequence of candidates that prepares itself for ranking.
+
+    The normalized labels and the :class:`~triggercraft.distance.PhoneCodes`
+    of the candidates are computed on first use and kept, so every wake
+    word and model ranked against one vocabulary reuses them.
+    """
+
+    __slots__ = ("_items", "_labels", "_codes")
+
+    def __init__(self, candidates: Iterable[Candidate]):
+        self._items = tuple(candidates)
+        self._labels: tuple[str, ...] | None = None
+        self._codes: PhoneCodes | None = None
+
+    @classmethod
+    def of(cls, vocab: Iterable[Candidate]) -> "Vocabulary":
+        """``vocab`` itself if it is a vocabulary, else a new one holding it."""
+        return vocab if isinstance(vocab, cls) else cls(vocab)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    @property
+    def normalized_labels(self) -> tuple[str, ...]:
+        """Each candidate's :func:`normalize_label`, in candidate order."""
+        if self._labels is None:
+            # Most labels are normalized already; keep one string for those.
+            self._labels = tuple(
+                label if norm == label else norm
+                for label, norm in ((c.label, normalize_label(c.label)) for c in self._items)
+            )
+        return self._labels
+
+    @property
+    def codes(self) -> PhoneCodes:
+        """The candidates' pronunciations, encoded for :meth:`CostContext.score`."""
+        if self._codes is None:
+            self._codes = PhoneCodes([c.prons for c in self._items])
+        return self._codes
 
 
 def dictionary_candidates(dictionary: PronouncingDictionary) -> list[Candidate]:
@@ -138,16 +190,21 @@ def rank_candidates(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    vocab = Vocabulary.of(vocab)
     blocked = blocked_labels(wake, blocklist)
-    kept = [c for c in vocab if normalize_label(c.label) not in blocked]
-    if not kept:
+    keep = np.fromiter(
+        (label not in blocked for label in vocab.normalized_labels), dtype=bool, count=len(vocab)
+    )
+    kept = np.flatnonzero(keep)
+    if not len(kept):
         raise EmptyVocabulary(f"no candidates left for {wake.id!r} after blocklist filtering")
 
     warned: set[tuple] = set()
-    costs = CostContext(wake.phones, model, warned).best_costs([c.prons for c in kept])
+    # Indices below run over the kept candidates, in vocabulary order.
+    costs = CostContext(wake.phones, model, warned).score(vocab.codes, keep)[kept]
 
     def by_cost(idx: int) -> tuple:
-        return (costs[idx], kept[idx].label, idx)
+        return (costs[idx], vocab[kept[idx]].label, idx)
 
     if len(kept) <= k:
         selected = sorted(range(len(kept)), key=by_cost)
@@ -170,7 +227,7 @@ def rank_candidates(
 
     items = []
     for position, idx in enumerate(selected, 1):
-        cand = kept[idx]
+        cand = vocab[kept[idx]]
         breakdown = distance_to_wakeword(wake, cand.prons, model, warned)
         items.append(RankedItem(position, cand, breakdown.L, breakdown))
     return RankedList(

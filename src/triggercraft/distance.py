@@ -13,12 +13,16 @@ Three model variants share one implementation:
 * ``simple`` -- per-operation scale factors, no per-phone weights.
 * ``advanced`` -- scale factors multiplied by per-phone weight tables.
 
-Costs come from one batched kernel, :meth:`CostContext.best_costs`.  It
-encodes the phones of every pronunciation it is given as small integers,
-builds an ``(n, P)`` substitution table and a ``(P,)`` insertion table for
-the P phones that occur, groups the pronunciations by length m, and runs
-the dynamic program over each group at once: one ``(m, batch)`` array of
-phone codes, one DP row per wake-word position.
+Costs come from one batched kernel, :meth:`CostContext.score`, over a
+:class:`PhoneCodes` encoding of a vocabulary.  The encoding is built once
+per vocabulary and shared by every wake word and model ranked against it:
+the phones of every pronunciation as small integers, in order of first
+use, grouped by pronunciation length m into one ``(m, batch)`` block of
+codes each.  A ranking masks out its blocked candidates, builds an
+``(n, P)`` substitution table and a ``(P,)`` insertion table for the P
+phones that occur in the kept candidates only, and runs the dynamic
+program over the kept columns of each block at once, one DP row per
+wake-word position.
 
 The kernel is bit-identical to the scalar recurrence that :func:`align`
 runs.  Each cell performs the same IEEE-754 additions on the same
@@ -28,6 +32,8 @@ on the order they are compared in.  The first row is the running sum of
 insertion costs, added left to right, and the first column the running
 sum of deletion costs, as in the scalar loop.  A candidate's cost is the
 minimum over its variants, so the per-candidate reduction is exact too.
+A column's result depends on its own codes only, so neither the batch it
+is scored in nor the mask changes it.
 :func:`align` keeps its own scalar DP because it also records the
 operations for the backtrack.
 """
@@ -37,8 +43,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +55,7 @@ __all__ = [
     "CostContext",
     "CostModel",
     "DistanceBreakdown",
+    "PhoneCodes",
     "ScaleFactors",
     "WeightTable",
     "align",
@@ -284,39 +291,36 @@ class CostContext:
         return float(self.best_costs([prons])[0])
 
     def best_costs(self, prons_per_candidate: Sequence[Sequence[PhoneSeq]]) -> np.ndarray:
-        """Minimum rewrite cost over each candidate's variants, one float64 each.
+        """Minimum rewrite cost over each candidate's variants, one float64 each."""
+        return self.score(PhoneCodes(prons_per_candidate))
 
-        Every pronunciation is scored in one batch per pronunciation length
-        (see the module docstring); the weight lookups, and so the fallback
-        warnings, are those of the phones that occur in this call.
+    def score(self, codes: PhoneCodes, keep: np.ndarray | None = None) -> np.ndarray:
+        """Minimum rewrite cost of each encoded candidate; ``inf`` where not kept.
+
+        ``keep`` is a boolean mask over the candidates (default: all).  The
+        weight lookups, and so the fallback warnings, are those of the
+        phones that occur in kept candidates only.
         """
-        counts = np.fromiter(map(len, prons_per_candidate), dtype=np.intp,
-                             count=len(prons_per_candidate))
-        if not counts.all():
-            raise NoPronunciation("candidate has no pronunciations")
-        prons = list(itertools.chain.from_iterable(prons_per_candidate))
-        lengths = np.fromiter(map(len, prons), dtype=np.intp, count=len(prons))
-        index = _PhoneIndex()
-        codes = np.fromiter(
-            map(index.__getitem__, itertools.chain.from_iterable(prons)),
-            dtype=np.intp, count=int(lengths.sum()),
-        )
-        phones = list(index)
-        sub = np.array([[self._sub_cost(i, q) for q in phones] for i in range(self.n)])
-        ins = np.array([self._ins_cost(q) for q in phones])
-        starts = np.cumsum(lengths) - lengths
+        pron_keep = None if keep is None else np.repeat(keep, codes.counts)
+        blocks = []
+        occurs = np.zeros(len(codes.phones), dtype=np.intp)
+        for positions, block in codes.groups:
+            if pron_keep is not None:
+                cols = pron_keep[positions]
+                positions, block = positions[cols], block[:, cols]
+            blocks.append((positions, block))
+            occurs += np.bincount(block.ravel(), minlength=len(occurs))
+        used = np.flatnonzero(occurs)
+        phones = [codes.phones[c] for c in used]
+        sub = np.zeros((self.n, len(occurs)))
+        sub[:, used] = [[self._sub_cost(i, q) for q in phones] for i in range(self.n)]
+        ins = np.zeros(len(occurs))
+        ins[used] = [self._ins_cost(q) for q in phones]
 
-        pron_costs = np.empty(len(prons))
-        order = np.argsort(lengths, kind="stable")
-        sizes = np.bincount(lengths)
-        end = 0
-        for m in np.flatnonzero(sizes):
-            group = order[end : end + sizes[m]]
-            end += sizes[m]
-            # (m, batch) phone codes: row j holds every pronunciation's j-th phone.
-            batch = codes[starts[group] + np.arange(m)[:, None]]
-            pron_costs[group] = self._dp(batch, ins[batch], sub)
-        return np.minimum.reduceat(pron_costs, np.cumsum(counts) - counts)
+        pron_costs = np.full(int(codes.counts.sum()), np.inf)
+        for positions, block in blocks:
+            pron_costs[positions] = self._dp(block, ins[block], sub)
+        return np.minimum.reduceat(pron_costs, np.cumsum(codes.counts) - codes.counts)
 
     def _dp(self, batch: np.ndarray, ins_costs: np.ndarray, sub: np.ndarray) -> np.ndarray:
         """Rewrite cost of each column of a ``(m, batch)`` block of phone codes."""
@@ -334,6 +338,47 @@ class CostContext:
                 np.minimum(vertical[j], cur[j + 1], out=cur[j + 1])
             prev, cur = cur, prev
         return prev[m]
+
+
+class PhoneCodes:
+    """The pronunciations of a run of candidates, encoded for :meth:`CostContext.score`.
+
+    ``phones`` lists the phone symbols in order of first use; a code is an
+    index into it.  ``counts`` holds each candidate's variant count, and
+    ``groups`` one ``(positions, block)`` pair per pronunciation length m:
+    the flat indices of the pronunciations of that length (candidate
+    order, then variant order), and their ``(m, batch)`` codes, row j
+    holding every pronunciation's j-th phone.  Codes are the smallest
+    unsigned type that holds them (``uint8`` up to 256 phones).
+    """
+
+    __slots__ = ("phones", "counts", "groups")
+
+    def __init__(self, prons_per_candidate: Sequence[Sequence[PhoneSeq]]):
+        counts = np.fromiter(map(len, prons_per_candidate), dtype=np.intp,
+                             count=len(prons_per_candidate))
+        if not counts.all():
+            raise NoPronunciation("candidate has no pronunciations")
+        prons = list(itertools.chain.from_iterable(prons_per_candidate))
+        lengths = np.fromiter(map(len, prons), dtype=np.intp, count=len(prons))
+        index = _PhoneIndex()
+        codes = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(prons)),
+            dtype=np.intp, count=int(lengths.sum()),
+        )
+        dtype = np.min_scalar_type(max(len(index) - 1, 0))
+        starts = np.cumsum(lengths) - lengths
+        order = np.argsort(lengths, kind="stable")
+        sizes = np.bincount(lengths)
+        self.groups = []
+        end = 0
+        for m in np.flatnonzero(sizes):
+            positions = order[end : end + sizes[m]]
+            end += sizes[m]
+            block = codes[starts[positions] + np.arange(m)[:, None]].astype(dtype)
+            self.groups.append((positions, block))
+        self.phones = tuple(index)
+        self.counts = counts
 
 
 class _PhoneIndex(dict):

@@ -24,9 +24,9 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EventBeyondMedia,
@@ -64,6 +64,9 @@ WINDOW_BEFORE_S = 7.0
 # ... and keep playing this far past it.
 WINDOW_AFTER_S = 3.0
 
+# Reproducibility bins are defined on 0..MAX_REPLAYS hits.
+MAX_REPLAYS = 10
+
 REVIEW_LABELS = ("accidental", "wake-word-present", "related-word")
 RESOLUTIONS = ("accidental", "discarded", "needs-review")
 BINS = ("none", "low", "medium", "high")
@@ -84,12 +87,12 @@ class VerificationResult:
     """Replay outcome for one event: how often the trigger reproduced."""
 
     event: TriggerEvent
-    replays: int = 10
+    replays: int = MAX_REPLAYS
     hits: int = 0
 
     def __post_init__(self):
-        if self.replays < 1:
-            raise ValueError("replays must be >= 1")
+        if not 1 <= self.replays <= MAX_REPLAYS:
+            raise ValueError(f"replays={self.replays} outside 1..{MAX_REPLAYS}")
         if not 0 <= self.hits <= self.replays:
             raise ValueError(f"hits={self.hits} outside 0..{self.replays}")
 
@@ -126,17 +129,49 @@ class Adjudication:
         return adjudicate(self.reviewer_a, self.reviewer_b)
 
 
-def _parse_timestamp(value: str) -> datetime:
-    return datetime.fromisoformat(value.replace("Z", "+00:00"))
+def _json_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) for every non-blank line."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:  # bad JSON, or an integer too long to convert
+            raise ParseError(f"bad JSON: {exc}", lineno) from None
+        if not isinstance(record, dict):
+            raise ParseError(f"expected a JSON object, got {line[:40]!r}", lineno)
+        yield lineno, record
+
+
+def _string(record: dict, key: str) -> str:
+    """``record[key]`` if it is a JSON string; nothing else."""
+    value = record[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _finite_number(value, key: str) -> float:
+    """A JSON number (not a boolean) with a finite float value; nothing else."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 def _parse_event_fields(record: dict, lineno: int) -> TriggerEvent:
     try:
-        timestamp = _parse_timestamp(record["ts"])
-        media_id = record["media"]
-        progress = float(record["progress_s"])
-        speaker = record["speaker"]
-    except (KeyError, TypeError, ValueError) as exc:
+        timestamp = datetime.fromisoformat(_string(record, "ts").replace("Z", "+00:00"))
+        media_id = _string(record, "media")
+        progress = _finite_number(record["progress_s"], "progress_s")
+        speaker = _string(record, "speaker")
+    except (KeyError, ValueError) as exc:
         raise ParseError(f"bad event record: {exc!r}", lineno) from None
     if progress < 0:
         raise NegativeProgress(f"line {lineno}: negative playback position {progress!r}")
@@ -145,17 +180,7 @@ def _parse_event_fields(record: dict, lineno: int) -> TriggerEvent:
 
 def parse_event_log(lines: Iterable[str]) -> list[TriggerEvent]:
     """Parse a JSON-lines event log; unknown keys are ignored."""
-    events = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", lineno) from None
-        events.append(_parse_event_fields(record, lineno))
-    return events
+    return [_parse_event_fields(record, lineno) for lineno, record in _json_records(lines)]
 
 
 def _whole_number(value, key: str) -> int:
@@ -180,28 +205,21 @@ def parse_verification_log(
 ) -> list[tuple[VerificationResult, ActivationObservation]]:
     """Parse verification records (event fields + replays/hits + signals)."""
     out = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", lineno) from None
+    for lineno, record in _json_records(lines):
         event = _parse_event_fields(record, lineno)
         try:
             verification = VerificationResult(
                 event=event,
-                replays=_whole_number(record.get("replays", 10), "replays"),
+                replays=_whole_number(record.get("replays", MAX_REPLAYS), "replays"),
                 hits=_whole_number(record["hits"], "hits"),
             )
             observation = ActivationObservation(
                 event=event,
-                led_on_s=float(record.get("led_on_s", 0.0)),
+                led_on_s=_finite_number(record.get("led_on_s", 0.0), "led_on_s"),
                 voice_response=_flag(record, "voice_response"),
                 pattern_cloud_signal=_flag(record, "cloud_pattern"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ParseError(f"bad verification record: {exc!r}", lineno) from None
         out.append((verification, observation))
     return out
@@ -210,14 +228,7 @@ def parse_verification_log(
 def parse_adjudication_log(lines: Iterable[str]) -> list[Adjudication]:
     """Parse adjudication records (event fields + two reviewer labels)."""
     out = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}", lineno) from None
+    for lineno, record in _json_records(lines):
         event = _parse_event_fields(record, lineno)
         try:
             out.append(
@@ -251,8 +262,8 @@ def verification_window(event: TriggerEvent, media_len_s: float) -> tuple[float,
 
 def bin_reproducibility(hits: int) -> str:
     """Map a 0-10 replay hit count to its reproducibility bin."""
-    if not isinstance(hits, int) or not 0 <= hits <= 10:
-        raise OutOfRange(f"hit count {hits!r} outside 0..10")
+    if not isinstance(hits, int) or not 0 <= hits <= MAX_REPLAYS:
+        raise OutOfRange(f"hit count {hits!r} outside 0..{MAX_REPLAYS}")
     if hits == 0:
         return "none"
     if hits <= 3:

@@ -240,7 +240,10 @@ def load_dictionary(
         match = _VARIANT_PATTERN.match(name)
         if match:
             word = normalize_word(match.group("word"))
-            variant_index = int(match.group("index"))
+            try:
+                variant_index = int(match.group("index"))
+            except ValueError:  # more digits than an int may be parsed from
+                variant_index = 0
             if variant_index < 1:
                 raise ParseError(f"bad variant index in {name!r}", lineno)
         else:

@@ -39,6 +39,7 @@ from .candidates import (
     DEFAULT_VOICES,
     Candidate,
     RankedList,
+    Vocabulary,
     Voice,
     build_blocklist,
     dictionary_candidates,
@@ -102,6 +103,7 @@ class WorkbenchConfig:
     _dictionary: PronouncingDictionary | None = None
     _wake_words: list[WakeWordSpec] | None = None
     _weight_table: WeightTable | None = None
+    _vocabulary: Vocabulary | None = None
 
     def dictionary(self) -> PronouncingDictionary:
         if self._dictionary is None:
@@ -117,6 +119,12 @@ class WorkbenchConfig:
             except TriggerCraftError as exc:
                 raise ConfigError(f"bad dictionary file: {exc}") from None
         return self._dictionary
+
+    def vocabulary(self) -> Vocabulary:
+        """The dictionary's words as candidates, encoded once for every ranking."""
+        if self._vocabulary is None:
+            self._vocabulary = Vocabulary(dictionary_candidates(self.dictionary()))
+        return self._vocabulary
 
     def wake_words(self) -> list[WakeWordSpec]:
         if self._wake_words is None:
@@ -319,7 +327,7 @@ def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     model = config.model(args.model)
     blocked = build_blocklist(wake, dictionary)
     if args.source == "dictionary":
-        vocab_by_name = {"dictionary": dictionary_candidates(dictionary)}
+        vocab_by_name = {"dictionary": config.vocabulary()}
     else:
         if args.transcripts is None:
             raise ConfigError("--source transcripts needs --transcripts FILE")
@@ -359,6 +367,7 @@ def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
                     source="trigger",
                 )
             )
+    vocab = Vocabulary(vocab)  # one encoding for every LOOCV ranking
     wakes = config.wake_words()
     blocklists = {w.id: build_blocklist(w, dictionary) for w in wakes}
     table = config.weight_table() if args.variant == "advanced" else None

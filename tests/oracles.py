@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from triggercraft.distance import CostModel, ScaleFactors, WeightTable
+from triggercraft.distance import CostModel, PhoneCodes, ScaleFactors, WeightTable
 
 # A compact phone alphabet for randomized tests.  Real inventory symbols,
 # so the same sequences can be round-tripped through dictionary fixtures.
@@ -137,14 +137,24 @@ def random_models(rng: random.Random, alphabet=ALPHABET) -> list[CostModel]:
     ]
 
 
-def one_at_a_time(best_costs):
-    """``CostContext.best_costs`` run on a batch of one candidate per call.
+def one_at_a_time(score):
+    """``CostContext.score`` run on a batch of one candidate per call.
 
-    Patched over the bulk method, it makes any caller score every
-    candidate alone, so outputs can be compared against bulk scoring.
+    Patched over the bulk method, it makes any caller score every kept
+    candidate alone, from a fresh encoding of its own pronunciations, so
+    outputs can be compared against bulk scoring.
     """
 
-    def scored_singly(ctx, prons_per_candidate):
-        return np.array([best_costs(ctx, [prons])[0] for prons in prons_per_candidate])
+    def scored_singly(ctx, codes, keep=None):
+        prons = [None] * int(codes.counts.sum())
+        for positions, block in codes.groups:
+            for position, column in zip(positions, block.T):
+                prons[position] = tuple(codes.phones[c] for c in column)
+        starts = np.cumsum(codes.counts) - codes.counts
+        costs = np.full(len(codes.counts), np.inf)
+        for idx, (start, count) in enumerate(zip(starts, codes.counts)):
+            if keep is None or keep[idx]:
+                costs[idx] = score(ctx, PhoneCodes([prons[start : start + count]]))[0]
+        return costs
 
     return scored_singly

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ALPHABET, oracle_cost, one_at_a_time
+from oracles import ALPHABET, oracle_cost, one_at_a_time, random_models
 from triggercraft.candidates import (
     Candidate,
     DEFAULT_VOICES,
+    Vocabulary,
     Voice,
     blocked_labels,
     build_blocklist,
@@ -236,7 +237,7 @@ class TestRankCandidates:
         wake = wake_by_id["VA2"]
         vocab = dictionary_candidates(mini_dictionary)
         bulk = rank_candidates(vocab, wake, UNWEIGHTED, k=10, seed=3)
-        monkeypatch.setattr(CostContext, "best_costs", one_at_a_time(CostContext.best_costs))
+        monkeypatch.setattr(CostContext, "score", one_at_a_time(CostContext.score))
         single = rank_candidates(vocab, wake, UNWEIGHTED, k=10, seed=3)
         assert [(i.rank, i.candidate.label, i.distance) for i in bulk.items] == [
             (i.rank, i.candidate.label, i.distance) for i in single.items
@@ -278,6 +279,64 @@ def test_top_k_matches_a_full_sort(prons, labels, k, seed):
     order, pool_size = full_sort_top_k(vocab, wake, UNWEIGHTED, k, seed)
     assert [id(i.candidate) for i in ranked.items] == [id(vocab[idx]) for idx in order]
     assert ranked.boundary_pool_size == pool_size
+
+
+TIE_WAKES = [("AA", "B", "IY"), ("B",), ("IY", "IY", "AA", "B")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    prons=st.lists(
+        st.lists(st.lists(st.sampled_from(ALPHABET[:3]), min_size=1, max_size=3).map(tuple),
+                 min_size=1, max_size=2),
+        min_size=1, max_size=25,
+    ),
+    labels=st.lists(st.sampled_from(["a", "B", " a", "c  d", "e"]), min_size=25, max_size=25),
+    runs=st.lists(
+        st.tuples(st.integers(0, len(TIE_WAKES) - 1), st.integers(0, 2), st.integers(1, 12),
+                  st.integers(0, 1000), st.sets(st.sampled_from(["a", "c d", "E", "zz"]))),
+        min_size=1, max_size=4,
+    ),
+    model_seed=st.integers(0, 2**32 - 1),
+)
+def test_one_vocabulary_ranks_like_fresh_lists(prons, labels, runs, model_seed):
+    # Tie-heavy: three phones, short words, labels that repeat or only
+    # match once normalized, and blocklists that remove some of them.
+    vocab = [Candidate(label, tuple(p)) for label, p in zip(labels, prons)]
+    shared = Vocabulary(vocab)
+    models = random_models(random.Random(model_seed), ALPHABET[:3])
+    for wake_idx, model_idx, k, seed, blocklist in runs:
+        wake = WakeWordSpec(id="T", text="B", phones=TIE_WAKES[wake_idx])
+        model = models[model_idx]
+        try:
+            fresh = rank_candidates(list(vocab), wake, model, k, seed, blocklist)
+        except EmptyVocabulary:
+            with pytest.raises(EmptyVocabulary):
+                rank_candidates(shared, wake, model, k, seed, blocklist)
+            continue
+        reused = rank_candidates(shared, wake, model, k, seed, blocklist)
+        assert reused == fresh
+        assert [id(i.candidate) for i in reused.items] == [id(i.candidate) for i in fresh.items]
+
+
+class TestVocabulary:
+    def test_a_sequence_of_the_candidates(self):
+        vocab = tie_vocab()
+        shared = Vocabulary(vocab)
+        assert len(shared) == len(vocab)
+        assert list(shared) == vocab and shared[1] is vocab[1]
+        assert list(shared[1:3]) == vocab[1:3]
+        assert Vocabulary.of(shared) is shared
+        assert list(Vocabulary.of(vocab)) == vocab
+
+    def test_encoding_and_labels_built_once(self):
+        shared = Vocabulary(
+            [Candidate("A  Lesson", (("AH", "L"),)), Candidate("echo", (("EH",),))]
+        )
+        assert shared.normalized_labels == ("a lesson", "echo")
+        assert shared.normalized_labels[1] is shared[1].label  # not copied
+        assert shared.codes is shared.codes
+        assert shared.normalized_labels is shared.normalized_labels
 
 
 class TestExtractNgrams:

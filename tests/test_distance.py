@@ -4,6 +4,7 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,11 @@ from oracles import (
     random_phones,
     random_weight_table,
 )
-from triggercraft.candidates import Candidate, rank_candidates
+from triggercraft.candidates import Candidate, Vocabulary, rank_candidates
 from triggercraft.distance import (
     CostContext,
     CostModel,
+    PhoneCodes,
     ScaleFactors,
     UNIT_SCALES,
     WeightTable,
@@ -284,6 +286,28 @@ def test_best_costs_match_the_oracle(wake, candidates, seed):
         assert CostContext(wake, model).best_costs(candidates).tolist() == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    wake=phone_seqs(1, 4),
+    candidates=st.lists(
+        st.lists(phone_seqs(0, 5), min_size=1, max_size=4), min_size=1, max_size=6
+    ),
+    keep=st.lists(st.booleans(), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_masked_score_equals_best_costs_of_the_kept(wake, candidates, keep, seed):
+    # One encoding, scored by every model: kept candidates cost what a
+    # fresh batch of only them costs, bit for bit; the rest are inf.
+    keep = np.array(keep[: len(candidates)])
+    codes = PhoneCodes(candidates)
+    kept = [prons for prons, flag in zip(candidates, keep) if flag]
+    for model in random_models(random.Random(seed)):
+        scored = CostContext(wake, model).score(codes, keep)
+        expected = CostContext(wake, model).best_costs(kept).tolist() if kept else []
+        assert scored[keep].tolist() == expected
+        assert np.isinf(scored[~keep]).all()
+
+
 class TestBulkWarnings:
     WAKE = WakeWordSpec(id="W", text="wake", phones=("B", "AA", "K"))
 
@@ -305,6 +329,19 @@ class TestBulkWarnings:
             CostContext(self.WAKE.phones, model).best_costs([c.prons for c in vocab])
             rank_candidates(vocab, self.WAKE, model, k=3, seed=0)
         assert self.fallbacks(caplog) == []
+
+    def test_phone_only_in_blocked_candidates_is_never_looked_up(self, caplog):
+        model = self.model_without("insertion", "T")
+        vocab = Vocabulary(
+            [Candidate(f"c{i}", (("B", "IY") * (i % 3 + 1),)) for i in range(8)]
+            + [Candidate("Bat", (("B", "AA", "T"),))]
+        )
+        with caplog.at_level(logging.WARNING, logger="triggercraft.distance"):
+            rank_candidates(vocab, self.WAKE, model, k=3, seed=0, blocklist={"bat"})
+            assert self.fallbacks(caplog) == []
+            # Kept, the same candidate's phone is looked up (and falls back).
+            rank_candidates(vocab, self.WAKE, model, k=3, seed=0)
+        assert self.fallbacks(caplog) == ["no insertion weight for 'T'; falling back to 1.0"]
 
     def test_missing_weight_warned_once_per_ranking(self, caplog):
         model = self.model_without("insertion", "S")

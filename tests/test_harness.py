@@ -41,6 +41,18 @@ def event(speaker="VA1", media="show", progress=100.0):
     return TriggerEvent(TS, media, progress, speaker)
 
 
+# A valid event record, field by field, as JSON text.
+EVENT_FIELDS = {
+    "ts": '"2019-10-01T12:00:00Z"', "media": '"x"', "progress_s": "5.0", "speaker": '"VA1"',
+}
+
+
+def record(**raw):
+    """One JSON line: the event fields, then ``raw``, each value written verbatim."""
+    fields = {**EVENT_FIELDS, **raw}
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}\n"
+
+
 class TestParseEventLog:
     GOOD = '{"ts": "2019-10-01T12:00:00Z", "media": "show_a_e01", "progress_s": 100.0, "speaker": "VA1"}\n'
 
@@ -75,6 +87,33 @@ class TestParseEventLog:
     def test_fixture_file(self, fixtures_dir):
         with open(fixtures_dir / "events.jsonl") as fh:
             assert len(parse_event_log(fh)) == 100
+
+    @pytest.mark.parametrize("key,value", [
+        ("ts", "5"), ("ts", "null"), ("media", "3"), ("media", '["x"]'),
+        ("speaker", "1"), ("speaker", "null"),
+        ("progress_s", "true"), ("progress_s", '"12.5"'), ("progress_s", "NaN"),
+        ("progress_s", "Infinity"), ("progress_s", "-Infinity"), ("progress_s", "null"),
+        ("progress_s", "1" + "0" * 400),
+    ], ids=[
+        "ts-number", "ts-null", "media-number", "media-list", "speaker-number",
+        "speaker-null", "progress-boolean", "progress-string", "progress-nan",
+        "progress-infinity", "progress-minus-infinity", "progress-null", "progress-overflow",
+    ])
+    def test_fields_must_have_their_json_types(self, key, value):
+        with pytest.raises(ParseError) as err:
+            parse_event_log(io.StringIO("\n" + record(**{key: value})))
+        assert err.value.line == 2
+
+    def test_integer_progress_accepted(self):
+        [ev] = parse_event_log(io.StringIO(record(progress_s="12")))
+        assert ev.progress_s == 12.0 and type(ev.progress_s) is float
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "7", "null", "1" * 5000],
+                             ids=["list", "string", "number", "null", "long-integer"])
+    def test_record_must_be_a_json_object(self, line):
+        with pytest.raises(ParseError) as err:
+            parse_event_log(io.StringIO(record() + line + "\n"))
+        assert err.value.line == 2
 
 
 class TestParseVerificationLog:
@@ -134,6 +173,23 @@ class TestParseVerificationLog:
     def test_fixture_file(self, fixtures_dir):
         with open(fixtures_dir / "verification.jsonl") as fh:
             assert len(parse_verification_log(fh)) == 100
+
+    @pytest.mark.parametrize("value", ["true", '"1.5"', "NaN", "Infinity", "null"])
+    def test_led_on_must_be_a_finite_number(self, value):
+        with pytest.raises(ParseError) as err:
+            parse_verification_log(io.StringIO("\n" + record(hits="2", led_on_s=value)))
+        assert err.value.line == 2
+
+    def test_integer_led_on_accepted(self):
+        [(_, obs)] = parse_verification_log(io.StringIO(record(hits="2", led_on_s="3")))
+        assert obs.led_on_s == 3.0 and type(obs.led_on_s) is float
+
+    @pytest.mark.parametrize("replays,hits", [(20, 15), (11, 0)])
+    def test_replays_at_most_ten(self, replays, hits):
+        lines = io.StringIO("\n" + record(replays=str(replays), hits=str(hits)))
+        with pytest.raises(ParseError, match="replays") as err:
+            parse_verification_log(lines)
+        assert err.value.line == 2
 
 
 class TestParseAdjudicationLog:
@@ -212,6 +268,11 @@ class TestVerificationResult:
     def test_replays_positive(self):
         with pytest.raises(ValueError):
             VerificationResult(event(), replays=0, hits=0)
+
+    def test_replays_at_most_ten(self):
+        # Reproducibility bins are defined on 0..10 hits.
+        with pytest.raises(ValueError):
+            VerificationResult(event(), replays=11, hits=0)
 
     def test_negative_hits(self):
         with pytest.raises(ValueError):

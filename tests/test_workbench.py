@@ -1,12 +1,13 @@
 """CLI workbench: config loading, exit codes, end-to-end subcommands."""
 
 import json
+import logging
 import shutil
 
 import pytest
 
 from oracles import one_at_a_time
-from triggercraft import tuning
+from triggercraft import tuning, workbench
 from triggercraft.candidates import DEFAULT_VOICES, build_blocklist, dictionary_candidates
 from triggercraft.distance import CostContext
 from triggercraft.errors import ConfigError
@@ -261,6 +262,35 @@ class TestExitCodes:
         assert code == 2
 
 
+    @pytest.mark.parametrize("log_name,fields", [
+        ("events", {"ts": "5"}),
+        ("events", {"progress_s": "NaN"}),
+        ("events", {"progress_s": '"12.5"'}),
+        ("verification", {"replays": "20", "hits": "15"}),
+    ], ids=["ts-number", "progress-nan", "progress-string", "replays-20"])
+    def test_bad_harness_record_names_its_line(self, config_path, tmp_path, fixtures_dir,
+                                               caplog, log_name, fields):
+        fields = {"ts": '"2019-10-01T12:00:36Z"', "media": '"m"', "progress_s": "1.0",
+                  "speaker": '"VA1"', "hits": "2", **fields}
+        bad = tmp_path / f"{log_name}.jsonl"
+        bad.write_text(
+            "\n{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}\n",
+            encoding="utf-8",
+        )
+        logs = {name: fixtures_dir / f"{name}.jsonl"
+                for name in ("events", "verification", "adjudication")}
+        logs[log_name] = bad
+        argv = ["--config", config_path, "--out", str(tmp_path), "harness"]
+        for name, path in logs.items():
+            argv += [f"--{name}", str(path)]
+        with caplog.at_level(logging.ERROR, logger="triggercraft.workbench"):
+            code = main(argv)
+        assert code == 2
+        assert [r.getMessage()[:7] for r in caplog.records if r.levelno == logging.ERROR] == [
+            "line 2:"
+        ]
+
+
 def run(config_path, out_dir, *argv):
     code = main(["--config", config_path, "--no-timestamp", "--out", str(out_dir), *argv])
     assert code == 0
@@ -312,10 +342,33 @@ class TestRankCommand:
 
     def test_batches_of_one_do_not_change_output(self, config_path, tmp_path, monkeypatch):
         bulk = run(config_path, tmp_path / "a", "rank", "--wake", "VA1")
-        monkeypatch.setattr(CostContext, "best_costs", one_at_a_time(CostContext.best_costs))
+        monkeypatch.setattr(CostContext, "score", one_at_a_time(CostContext.score))
         single = run(config_path, tmp_path / "b", "rank", "--wake", "VA1")
         for name in ("rank_VA1_dictionary.tsv", "manifest_VA1_dictionary.tsv"):
             assert (bulk / name).read_bytes() == (single / name).read_bytes()
+
+    def test_one_loaded_config_builds_the_vocabulary_once(self, config_path, tmp_path,
+                                                          monkeypatch):
+        wakes = ("VA1", "VA2", "VA3", "VA4")
+        for wake in wakes:
+            run(config_path, tmp_path / "fresh", "rank", "--wake", wake, "--model", "advanced")
+        builds = []
+
+        def counted(dictionary):
+            builds.append(dictionary)
+            return dictionary_candidates(dictionary)
+
+        monkeypatch.setattr(workbench, "dictionary_candidates", counted)
+        config = load_config(config_path)
+        for wake in wakes:
+            # As the command line runs a job, on the one loaded config.
+            args = workbench.build_parser().parse_args(
+                ["--config", config_path, "rank", "--wake", wake, "--model", "advanced"])
+            assert args.func(config, args, workbench.OutputWriter(tmp_path / "reused", False)) == 0
+        assert len(builds) == 1
+        for path in sorted((tmp_path / "fresh").iterdir()):
+            assert (tmp_path / "reused" / path.name).read_bytes() == path.read_bytes()
+        assert len(list((tmp_path / "reused").iterdir())) == 2 * len(wakes)
 
     def test_transcript_source(self, config_path, tmp_path, fixtures_dir):
         out = run(config_path, tmp_path / "out", "rank", "--wake", "VA1",
