@@ -72,7 +72,7 @@ RESOLUTIONS = ("accidental", "discarded", "needs-review")
 BINS = ("none", "low", "medium", "high")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggerEvent:
     """One logged activation of a smart speaker during playback."""
 
@@ -82,7 +82,7 @@ class TriggerEvent:
     speaker_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationResult:
     """Replay outcome for one event: how often the trigger reproduced."""
 
@@ -101,7 +101,7 @@ class VerificationResult:
         return bin_reproducibility(self.hits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivationObservation:
     """Signals observed while a trigger fired."""
 
@@ -111,7 +111,7 @@ class ActivationObservation:
     pattern_cloud_signal: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Adjudication:
     """Two independent reviewer labels for one event."""
 
@@ -129,17 +129,37 @@ class Adjudication:
         return adjudicate(self.reviewer_a, self.reviewer_b)
 
 
+# The C scanner behind ``json.loads``, without its per-call Python wrapper.
+_scan_json = json.decoder.JSONDecoder().scan_once
+
+
+def _decode_slowly(line, lineno: int):
+    """``json.loads(line)``, its errors as a ParseError on ``lineno``."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:  # bad JSON, a too-long integer, deep nesting
+        raise ParseError(f"bad JSON: {exc}", lineno) from None
+
+
 def _json_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
-    """(line number, JSON object) for every non-blank line."""
+    """(line number, JSON object) for every non-blank line.
+
+    A line is one JSON value exactly as ``json.loads`` reads it: the scanner
+    must consume the whole stripped line, and anything it rejects (or a
+    ``bytes`` line) goes through ``json.loads`` itself for the value or the
+    error text.
+    """
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except ValueError as exc:  # bad JSON, or an integer too long to convert
-            raise ParseError(f"bad JSON: {exc}", lineno) from None
-        if not isinstance(record, dict):
+            record, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError, TypeError):
+            end = -1
+        if end != len(line):
+            record = _decode_slowly(line, lineno)
+        if type(record) is not dict:
             raise ParseError(f"expected a JSON object, got {line[:40]!r}", lineno)
         yield lineno, record
 
@@ -166,11 +186,23 @@ def _finite_number(value, key: str) -> float:
 
 
 def _parse_event_fields(record: dict, lineno: int) -> TriggerEvent:
+    # Values of the common exact JSON types pass inline; anything else goes
+    # to the checking helper, which converts it or raises its message.
+    # ``x - x`` is 0.0 for a finite float only (inf and NaN give NaN).
     try:
-        timestamp = datetime.fromisoformat(_string(record, "ts").replace("Z", "+00:00"))
-        media_id = _string(record, "media")
-        progress = _finite_number(record["progress_s"], "progress_s")
-        speaker = _string(record, "speaker")
+        ts = record["ts"]
+        if type(ts) is not str:
+            ts = _string(record, "ts")
+        timestamp = datetime.fromisoformat(ts.replace("Z", "+00:00"))
+        media_id = record["media"]
+        if type(media_id) is not str:
+            media_id = _string(record, "media")
+        progress = record["progress_s"]
+        if type(progress) is not float or progress - progress != 0.0:
+            progress = _finite_number(progress, "progress_s")
+        speaker = record["speaker"]
+        if type(speaker) is not str:
+            speaker = _string(record, "speaker")
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad event record: {exc!r}", lineno) from None
     if progress < 0:
@@ -208,17 +240,23 @@ def parse_verification_log(
     for lineno, record in _json_records(lines):
         event = _parse_event_fields(record, lineno)
         try:
-            verification = VerificationResult(
-                event=event,
-                replays=_whole_number(record.get("replays", MAX_REPLAYS), "replays"),
-                hits=_whole_number(record["hits"], "hits"),
-            )
-            observation = ActivationObservation(
-                event=event,
-                led_on_s=_finite_number(record.get("led_on_s", 0.0), "led_on_s"),
-                voice_response=_flag(record, "voice_response"),
-                pattern_cloud_signal=_flag(record, "cloud_pattern"),
-            )
+            replays = record.get("replays", MAX_REPLAYS)
+            if type(replays) is not int:
+                replays = _whole_number(replays, "replays")
+            hits = record["hits"]
+            if type(hits) is not int:
+                hits = _whole_number(hits, "hits")
+            verification = VerificationResult(event, replays, hits)
+            led_on = record.get("led_on_s", 0.0)
+            if type(led_on) is not float or led_on - led_on != 0.0:
+                led_on = _finite_number(led_on, "led_on_s")
+            voice = record.get("voice_response", False)
+            if type(voice) is not bool:
+                voice = _flag(record, "voice_response")
+            cloud = record.get("cloud_pattern", False)
+            if type(cloud) is not bool:
+                cloud = _flag(record, "cloud_pattern")
+            observation = ActivationObservation(event, led_on, voice, cloud)
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad verification record: {exc!r}", lineno) from None
         out.append((verification, observation))
@@ -231,13 +269,7 @@ def parse_adjudication_log(lines: Iterable[str]) -> list[Adjudication]:
     for lineno, record in _json_records(lines):
         event = _parse_event_fields(record, lineno)
         try:
-            out.append(
-                Adjudication(
-                    event=event,
-                    reviewer_a=record["reviewer_a"],
-                    reviewer_b=record["reviewer_b"],
-                )
-            )
+            out.append(Adjudication(event, record["reviewer_a"], record["reviewer_b"]))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad adjudication record: {exc!r}", lineno) from None
     return out
@@ -335,7 +367,7 @@ def cohens_kappa(a: Sequence[str], b: Sequence[str]) -> float:
     return (observed - expected) / (1.0 - expected)
 
 
-@dataclass
+@dataclass(slots=True)
 class TriggerAnalysis:
     """Everything known about one verified trigger."""
 
@@ -348,8 +380,24 @@ class TriggerAnalysis:
         return self.verification.event
 
 
-def _event_key(event: TriggerEvent) -> tuple[str, str, float]:
-    return (event.speaker_id, event.media_id, event.progress_s)
+def _queues(keyed: Iterable[tuple[TriggerEvent, object]]) -> tuple[dict, dict]:
+    """Records by join key, from (event, record) pairs in log order.
+
+    Returns the first record of every key, and the later records of each
+    repeated key, last first, so that ``pop()`` hands them out in order.
+    A key seen once (nearly every key) gets no list of its own.
+    """
+    first: dict[tuple, object] = {}
+    later: dict[tuple, list] = {}
+    for event, record in keyed:
+        key = (event.speaker_id, event.media_id, event.progress_s)
+        if key in first:
+            later.setdefault(key, []).append(record)
+        else:
+            first[key] = record
+    for queue in later.values():
+        queue.reverse()
+    return first, later
 
 
 def join_records(
@@ -361,36 +409,32 @@ def join_records(
 
     Events without a verification record are skipped with a diagnostic;
     verification or adjudication records without a matching event are
-    reported the same way.
+    reported the same way.  Records that share a key pair up in log order:
+    the i-th event of a key gets that key's i-th record.
     """
-    ver_by_key: dict[tuple, list] = {}
-    for pair in verifications:
-        ver_by_key.setdefault(_event_key(pair[0].event), []).append(pair)
-    adj_by_key: dict[tuple, list] = {}
-    for adj in adjudications:
-        adj_by_key.setdefault(_event_key(adj.event), []).append(adj)
-
+    ver_first, ver_later = _queues((pair[0].event, pair) for pair in verifications)
+    adj_first, adj_later = _queues((adj.event, adj) for adj in adjudications)
     analyses = []
     unverified = 0
     for event in events:
-        key = _event_key(event)
-        if not ver_by_key.get(key):
+        key = (event.speaker_id, event.media_id, event.progress_s)
+        pair = ver_first.pop(key, None)
+        if pair is None:
             unverified += 1
             continue
-        verification, observation = ver_by_key[key].pop(0)
-        adjudication = adj_by_key[key].pop(0) if adj_by_key.get(key) else None
-        analyses.append(
-            TriggerAnalysis(
-                verification=verification,
-                adjudication=adjudication,
-                observation=observation,
-            )
-        )
+        queue = ver_later.get(key)
+        if queue:
+            ver_first[key] = queue.pop()
+        adjudication = adj_first.pop(key, None)
+        queue = adj_later.get(key)
+        if queue:
+            adj_first[key] = queue.pop()
+        verification, observation = pair
+        analyses.append(TriggerAnalysis(verification, adjudication, observation))
     if unverified:
         log.warning("%d events have no verification record", unverified)
-    orphans = sum(len(v) for v in ver_by_key.values()) + sum(
-        len(v) for v in adj_by_key.values()
-    )
+    orphans = (len(ver_first) + sum(map(len, ver_later.values()))
+               + len(adj_first) + sum(map(len, adj_later.values())))
     if orphans:
         log.warning("%d verification/adjudication records match no event", orphans)
     return analyses
@@ -416,24 +460,40 @@ def summarize(analyses: Sequence[TriggerAnalysis]) -> Summary:
     bins: dict[str, dict[str, int]] = {}
     activation: dict[str, dict[str, int]] = {}
     slot = {"accidental": 0, "discarded": 1, "needs-review": 2}
+    # The row slot of every label pair, and the bin of every hit count.
+    slot_of = {a: {b: slot[adjudicate(a, b)] for b in REVIEW_LABELS} for a in REVIEW_LABELS}
+    bin_of = [bin_reproducibility(hits) for hits in range(MAX_REPLAYS + 1)]
     labels_a: list[str] = []
     labels_b: list[str] = []
     for analysis in analyses:
-        event = analysis.event
-        row = counts.setdefault((event.media_id, event.speaker_id), [0, 0, 0])
-        if analysis.adjudication is not None:
-            row[slot[analysis.adjudication.resolution]] += 1
-            labels_a.append(analysis.adjudication.reviewer_a)
-            labels_b.append(analysis.adjudication.reviewer_b)
+        verification = analysis.verification
+        event = verification.event
+        speaker = event.speaker_id
+        key = (event.media_id, speaker)
+        row = counts.get(key)
+        if row is None:
+            row = counts[key] = [0, 0, 0]
+        adjudication = analysis.adjudication
+        if adjudication is not None:
+            a, b = adjudication.reviewer_a, adjudication.reviewer_b
+            row[slot_of[a][b]] += 1
+            labels_a.append(a)
+            labels_b.append(b)
         else:
-            row[slot["needs-review"]] += 1
-        speaker_bins = bins.setdefault(event.speaker_id, {b: 0 for b in BINS})
-        speaker_bins[analysis.verification.bin] += 1
-        if analysis.observation is not None:
-            speaker_act = activation.setdefault(
-                event.speaker_id, {"local": 0, "local_plus_cloud": 0}
-            )
-            speaker_act[classify_activation(analysis.observation)] += 1
+            row[2] += 1
+        speaker_bins = bins.get(speaker)
+        if speaker_bins is None:
+            speaker_bins = bins[speaker] = dict.fromkeys(BINS, 0)
+        hits = verification.hits
+        # Only a plain int indexes the table; anything else keeps the
+        # checks (and errors) of bin_reproducibility.
+        speaker_bins[bin_of[hits] if type(hits) is int else bin_reproducibility(hits)] += 1
+        observation = analysis.observation
+        if observation is not None:
+            speaker_act = activation.get(speaker)
+            if speaker_act is None:
+                speaker_act = activation[speaker] = {"local": 0, "local_plus_cloud": 0}
+            speaker_act[classify_activation(observation)] += 1
     kappa = cohens_kappa(labels_a, labels_b) if labels_a else None
     return Summary(counts=counts, bins=bins, activation=activation, kappa=kappa)
 

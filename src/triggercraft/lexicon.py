@@ -75,8 +75,12 @@ class PhoneInventory:
 
     @classmethod
     def load(cls, lines: Iterable[str]) -> "PhoneInventory":
-        """Read an inventory file with one ``SYMBOL CLASS`` pair per line."""
+        """Read an inventory file with one ``SYMBOL CLASS`` pair per line.
+
+        Symbols are upper-cased; a symbol listed twice is an error.
+        """
         phones = []
+        seen = set()
         for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith(_COMMENT_PREFIX):
@@ -87,7 +91,11 @@ class PhoneInventory:
             symbol, category = parts
             if category not in ("vowel", "consonant"):
                 raise ParseError(f"unknown phone class {category!r}", lineno)
-            phones.append(Phone(symbol.upper(), category))
+            symbol = symbol.upper()
+            if symbol in seen:
+                raise ParseError(f"phone symbol {symbol!r} listed twice", lineno)
+            seen.add(symbol)
+            phones.append(Phone(symbol, category))
         return cls(phones)
 
     @property

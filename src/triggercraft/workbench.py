@@ -133,7 +133,7 @@ class WorkbenchConfig:
                     raw = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read wake words: {exc}") from None
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
                 raise ConfigError(f"bad wake-word file: {exc}") from None
             specs = []
             try:
@@ -219,7 +219,7 @@ def load_config(path: str | Path) -> WorkbenchConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     base = path.parent
 
@@ -472,17 +472,23 @@ def cmd_harness(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     body = harness_mod.format_summary(summary)
     if config.media_lengths:
         window_lines = ["[windows]", "media\tspeaker\tprogress_s\tstart_s\tend_s"]
+        lengths = config.media_lengths
+        window = harness_mod.verification_window
+        unknown: dict[str, int] = {}  # media id -> events without a length
         for analysis in analyses:
-            event = analysis.event
-            length = config.media_lengths.get(event.media_id)
+            event = analysis.verification.event
+            media_id = event.media_id
+            length = lengths.get(media_id)
             if length is None:
-                log.warning("no media length configured for %r", event.media_id)
+                unknown[media_id] = unknown.get(media_id, 0) + 1
                 continue
-            start, end = harness_mod.verification_window(event, length)
+            start, end = window(event, length)
+            # Numbers as _fmt writes them.
             window_lines.append(
-                f"{event.media_id}\t{event.speaker_id}\t{_fmt(event.progress_s)}"
-                f"\t{_fmt(start)}\t{_fmt(end)}"
+                f"{media_id}\t{event.speaker_id}\t{event.progress_s:.12g}\t{start:.12g}\t{end:.12g}"
             )
+        for media_id, count in unknown.items():
+            log.warning("no media length configured for %r (%d events)", media_id, count)
         body += "\n".join(window_lines) + "\n"
     writer.write("harness_summary.tsv", body)
     return 0

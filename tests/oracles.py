@@ -13,12 +13,22 @@ the package under test.
 
 from __future__ import annotations
 
+import json
+import math
 import random
+from datetime import datetime
 from functools import lru_cache
 
 import numpy as np
 
 from triggercraft.distance import CostModel, PhoneCodes, ScaleFactors, WeightTable
+from triggercraft.errors import NegativeProgress, ParseError
+from triggercraft.harness import (
+    ActivationObservation,
+    Adjudication,
+    TriggerEvent,
+    VerificationResult,
+)
 
 # A compact phone alphabet for randomized tests.  Real inventory symbols,
 # so the same sequences can be round-tripped through dictionary fixtures.
@@ -158,3 +168,136 @@ def one_at_a_time(score):
         return costs
 
     return scored_singly
+
+
+# ---------------------------------------------------------------------------
+# Measurement logs, read by the README contract one field at a time, and the
+# join of the three logs by plain lists and ``pop(0)``.
+
+_REVIEW_LABELS = ("accidental", "wake-word-present", "related-word")
+_REQUIRED = object()
+
+
+def _field(record: dict, key: str, accepts, what: str, default=_REQUIRED):
+    """``record[key]`` (``default`` when absent) if ``accepts`` it, else
+    the KeyError or ValueError that the package words for that field."""
+    if key in record:
+        value = record[key]
+    elif default is _REQUIRED:
+        raise KeyError(key)
+    else:
+        value = default
+    if not accepts(value):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _is_double(value) -> bool:
+    """A JSON number (never a boolean) whose double is finite."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an integer beyond the largest double
+        return False
+
+
+def _is_count(value) -> bool:
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
+def _reference_event(record: dict, lineno: int) -> TriggerEvent:
+    try:
+        ts = _field(record, "ts", lambda v: isinstance(v, str), "a string")
+        timestamp = datetime.fromisoformat(ts.replace("Z", "+00:00"))
+        media = _field(record, "media", lambda v: isinstance(v, str), "a string")
+        progress = float(_field(record, "progress_s", _is_double, "a finite number"))
+        speaker = _field(record, "speaker", lambda v: isinstance(v, str), "a string")
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad event record: {exc!r}", lineno) from None
+    if progress < 0:
+        raise NegativeProgress(f"line {lineno}: negative playback position {progress!r}")
+    return TriggerEvent(timestamp, media, progress, speaker)
+
+
+def _reference_verification(record: dict, event: TriggerEvent, lineno: int):
+    try:
+        replays = int(_field(record, "replays", _is_count, "a whole number", 10))
+        hits = int(_field(record, "hits", _is_count, "a whole number"))
+        if not 1 <= replays <= 10:
+            raise ValueError(f"replays={replays} outside 1..10")
+        if not 0 <= hits <= replays:
+            raise ValueError(f"hits={hits} outside 0..{replays}")
+        led = float(_field(record, "led_on_s", _is_double, "a finite number", 0.0))
+        voice = _field(record, "voice_response", lambda v: type(v) is bool, "true or false", False)
+        cloud = _field(record, "cloud_pattern", lambda v: type(v) is bool, "true or false", False)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad verification record: {exc!r}", lineno) from None
+    return (VerificationResult(event, replays, hits),
+            ActivationObservation(event, led, voice, cloud))
+
+
+def _reference_adjudication(record: dict, event: TriggerEvent, lineno: int) -> Adjudication:
+    try:
+        labels = [record["reviewer_a"], record["reviewer_b"]]
+        for label in labels:
+            if label not in _REVIEW_LABELS:
+                raise ValueError(f"unknown review label {label!r}")
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad adjudication record: {exc!r}", lineno) from None
+    return Adjudication(event, *labels)
+
+
+def reference_log(kind: str, lines) -> list:
+    """Parse an ``"events"``, ``"verification"`` or ``"adjudication"`` log.
+
+    Every non-blank line must be one JSON object (``json.loads`` of the
+    stripped line); its event fields, then the fields of its kind, are
+    checked in the order the README lists them, and the first broken one
+    is a ParseError with the line number.
+    """
+    out = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"bad JSON: {exc}", lineno) from None
+        if not isinstance(record, dict):
+            raise ParseError(f"expected a JSON object, got {line[:40]!r}", lineno)
+        event = _reference_event(record, lineno)
+        if kind == "events":
+            out.append(event)
+        elif kind == "verification":
+            out.append(_reference_verification(record, event, lineno))
+        else:
+            out.append(_reference_adjudication(record, event, lineno))
+    return out
+
+
+def reference_join(events, verifications, adjudications):
+    """(analyses as (verification, adjudication, observation), unverified, orphans).
+
+    Each key's records wait in a list in log order; an event takes the
+    first one left.
+    """
+    def key(event):
+        return (event.speaker_id, event.media_id, event.progress_s)
+
+    waiting_ver, waiting_adj = {}, {}
+    for pair in verifications:
+        waiting_ver.setdefault(key(pair[0].event), []).append(pair)
+    for adj in adjudications:
+        waiting_adj.setdefault(key(adj.event), []).append(adj)
+    joined, unverified = [], 0
+    for event in events:
+        if not waiting_ver.get(key(event)):
+            unverified += 1
+            continue
+        verification, observation = waiting_ver[key(event)].pop(0)
+        adjs = waiting_adj.get(key(event))
+        joined.append((verification, adjs.pop(0) if adjs else None, observation))
+    orphans = sum(len(v) for v in waiting_ver.values()) + sum(len(v) for v in waiting_adj.values())
+    return joined, unverified, orphans

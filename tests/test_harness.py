@@ -115,6 +115,13 @@ class TestParseEventLog:
             parse_event_log(io.StringIO(record() + line + "\n"))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("parse", [parse_event_log, parse_verification_log,
+                                       parse_adjudication_log], ids=lambda f: f.__name__)
+    def test_deep_nesting_is_a_parse_error(self, parse):
+        with pytest.raises(ParseError, match="bad JSON") as err:
+            parse(io.StringIO("\n" + "[" * 100_000 + "\n"))
+        assert err.value.line == 2
+
 
 class TestParseVerificationLog:
     BASE = '{"ts": "2019-10-01T12:00:00Z", "media": "x", "progress_s": 5.0, "speaker": "VA1"'
@@ -440,6 +447,36 @@ class TestJoinRecords:
         )
         analyses = join_records(events, vers, [])
         assert [a.verification.hits for a in analyses] == [2, 8]
+
+    def test_repeated_keys_pair_first_in_first_out(self, caplog):
+        # Three events share one key, with two verifications and three
+        # adjudications of it; key 30.0 has two verifications and an
+        # adjudication but no event.
+        events = parse_event_log(self._lines([self.base(10.0)] * 3 + [self.base(20.0)]))
+        vers = parse_verification_log(self._lines(
+            [self.base(10.0, hits=1), self.base(30.0, hits=9), self.base(10.0, hits=2),
+             self.base(20.0, hits=5), self.base(30.0, hits=4)]
+        ))
+        labels = [("accidental", "accidental"), ("related-word", "accidental"),
+                  ("wake-word-present", "wake-word-present")]
+        adjs = parse_adjudication_log(self._lines(
+            [self.base(10.0, reviewer_a=a, reviewer_b=b) for a, b in labels]
+            + [self.base(30.0, reviewer_a="accidental", reviewer_b="accidental")]
+        ))
+        with caplog.at_level(logging.WARNING, logger="triggercraft.harness"):
+            analyses = join_records(events, vers, adjs)
+        assert [(a.event.progress_s, a.verification.hits) for a in analyses] == [
+            (10.0, 1), (10.0, 2), (20.0, 5)
+        ]
+        assert [a.adjudication.reviewer_a if a.adjudication else None for a in analyses] == [
+            "accidental", "related-word", None
+        ]
+        # Unverified: the third event of key 10.0.  Orphans: the three records
+        # of key 30.0, and the third adjudication of 10.0.
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 events have no verification record",
+            "4 verification/adjudication records match no event",
+        ]
 
 
 class TestSummarize:

@@ -50,6 +50,13 @@ class TestInventory:
         with pytest.raises(ParseError):
             PhoneInventory.load(["AH\n"])
 
+    @pytest.mark.parametrize("second", ["ZZ consonant\n", "zz consonant\n", "ZZ vowel\n"],
+                             ids=["other-class", "lower-case", "same-class"])
+    def test_load_rejects_a_repeated_symbol(self, second):
+        with pytest.raises(ParseError, match="'ZZ'") as err:
+            PhoneInventory.load(["ZZ vowel\n", ";;; comment\n", second])
+        assert err.value.line == 3
+
 
 class TestParsePhone:
     @pytest.mark.parametrize(

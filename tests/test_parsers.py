@@ -1,20 +1,31 @@
 """Every text parser either accepts its input or raises a TriggerCraftError.
 
 Arbitrary lines, and arbitrary JSON objects over the known record keys, go
-to each parser; nothing but the package's own errors may come out.
+to each parser; nothing but the package's own errors may come out.  The
+three measurement-log parsers, and the join of their records, must also
+give what the reference implementations in ``oracles`` give.
 """
 
 import io
 import json
+import logging
 import math
+from contextlib import contextmanager
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_join, reference_log
 from triggercraft.errors import TriggerCraftError
 from triggercraft.harness import (
     MAX_REPLAYS,
+    ActivationObservation,
+    Adjudication,
+    TriggerEvent,
+    VerificationResult,
+    join_records,
     parse_adjudication_log,
     parse_event_log,
     parse_verification_log,
@@ -90,6 +101,140 @@ def test_arbitrary_json_objects(parse, objects):
         event = item[0].event if isinstance(item, tuple) else getattr(item, "event", item)
         assert isinstance(event.media_id, str) and isinstance(event.speaker_id, str)
         assert math.isfinite(event.progress_s) and event.progress_s >= 0
+
+
+# Every JSON type for a field: strings, booleans, integers (also beyond the
+# largest double), floats (also -0.0, NaN and the infinities), null, lists
+# and objects.
+any_json = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8)
+    | st.integers() | st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+    | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=2),
+    max_leaves=4,
+)
+
+# Valid values, with the edge cases the contract names: integral floats for
+# counts, -0.0 and negative positions, ISO stamps with and without a zone.
+FIELD_VALUES = {
+    **VALID,
+    "ts": st.sampled_from(["2019-10-01T12:00:00Z", "2019-10-01T12:00:00",
+                           "2019-10-01 12:00:00+02:00", "2019-13-01T00:00:00Z", "yesterday"]),
+    "progress_s": st.floats(-1, 1e4) | st.integers(-1, 10_000) | st.just(-0.0),
+    "replays": st.integers(0, MAX_REPLAYS + 1) | st.sampled_from([10.0, 2.5]),
+    "hits": st.integers(-1, MAX_REPLAYS) | st.sampled_from([3.0, 2.9]),
+    "led_on_s": st.floats(0, 10) | st.integers(0, 5),
+}
+
+
+# Values that sit on a type or range boundary of some field.
+AWKWARD = [True, False, None, -0.0, 0, 1, 2.5, 3.0, 11, -1, "", "1", [], {},
+           math.nan, math.inf, -math.inf, 2**1024, -(10**400)]
+
+
+@st.composite
+def log_lines(draw):
+    """A valid record with up to two fields replaced by another JSON value
+    or dropped, as one line; sometimes padded, trailed by junk, or not JSON."""
+    record = {key: draw(values) for key, values in FIELD_VALUES.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(FIELD_VALUES)), max_size=2)):
+        if draw(st.integers(0, 3)):
+            record[key] = draw(st.sampled_from(AWKWARD) | any_json)
+        else:
+            record.pop(key, None)
+    line = json.dumps(record)
+    return draw(st.sampled_from([line] * 6 + [f"  {line}\t", line + " x", line[:-1], ""])
+                 | st.text(max_size=12))
+
+
+LOG_KINDS = {"events": parse_event_log, "verification": parse_verification_log,
+             "adjudication": parse_adjudication_log}
+
+
+def outcome(parse, lines):
+    """The parsed objects, or the error's type, text and line number."""
+    try:
+        return repr(parse(lines))
+    except TriggerCraftError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("kind", LOG_KINDS)
+@settings(max_examples=300, deadline=None)
+@given(text_lines=st.lists(log_lines(), min_size=1, max_size=4))
+@example(text_lines=["", "[" * 100_000])
+@example(text_lines=['{"ts": "2019-10-01T12:00:00Z", "progress_s": ' + "1" * 5000 + "}"])
+@example(text_lines=["\ufeff{}", '{"a": 1} {"b": 2}', "[]", '"text"'])
+def test_logs_read_like_the_reference(kind, text_lines):
+    lines = [line + "\n" for line in text_lines]
+    assert outcome(LOG_KINDS[kind], lines) == outcome(lambda ls: reference_log(kind, ls), lines)
+
+
+# Every field of a valid record, in turn, set to each boundary value or dropped.
+BASE_RECORD = {"ts": "2019-10-01T12:00:00Z", "media": "m", "progress_s": 5.0, "speaker": "VA1",
+               "replays": 10, "hits": 3, "led_on_s": 1.5, "voice_response": False,
+               "cloud_pattern": True, "reviewer_a": "accidental", "reviewer_b": "related-word"}
+DROPPED = object()
+
+
+@pytest.mark.parametrize("kind", LOG_KINDS)
+def test_each_field_boundary_reads_like_the_reference(kind):
+    for key in BASE_RECORD:
+        for value in AWKWARD + [DROPPED]:
+            record = {k: v for k, v in BASE_RECORD.items() if k != key or value is not DROPPED}
+            if value is not DROPPED:
+                record[key] = value
+            lines = ["\n", json.dumps(record) + "\n"]
+            expected = outcome(lambda ls: reference_log(kind, ls), lines)
+            assert outcome(LOG_KINDS[kind], lines) == expected, (key, value)
+
+
+TS = datetime(2019, 10, 1, tzinfo=timezone.utc)
+
+
+@contextmanager
+def harness_warnings():
+    """Messages logged by the harness module inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("triggercraft.harness")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def expected_warnings(unverified, orphans):
+    return ([f"{unverified} events have no verification record"] if unverified else []) + (
+        [f"{orphans} verification/adjudication records match no event"] if orphans else [])
+
+
+# Few keys, so that most are repeated; 0.0 and -0.0 are one key.
+join_keys = st.tuples(st.sampled_from(["VA1", "VA2"]), st.sampled_from(["m"]),
+                      st.sampled_from([0.0, -0.0, 1.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_keys=st.lists(join_keys, max_size=8), ver_keys=st.lists(join_keys, max_size=8),
+       adj_keys=st.lists(join_keys, max_size=8))
+def test_join_pairs_like_the_reference(event_keys, ver_keys, adj_keys):
+    def ev(key):
+        speaker, media, progress = key
+        return TriggerEvent(TS, media, progress, speaker)
+
+    events = [ev(key) for key in event_keys]
+    verifications = [(VerificationResult(ev(key), hits=n % 11), ActivationObservation(ev(key)))
+                     for n, key in enumerate(ver_keys)]
+    adjudications = [Adjudication(ev(key), "accidental", "related-word") for key in adj_keys]
+    joined, unverified, orphans = reference_join(events, verifications, adjudications)
+    with harness_warnings() as messages:
+        analyses = join_records(events, verifications, adjudications)
+    got = [(a.verification, a.adjudication, a.observation) for a in analyses]
+    assert [tuple(map(id, row)) for row in got] == [tuple(map(id, row)) for row in joined]
+    assert messages == expected_warnings(unverified, orphans)
 
 
 words = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ'", min_size=1, max_size=8)

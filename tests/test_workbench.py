@@ -28,6 +28,11 @@ def config_path(fixtures_dir):
     return str(fixtures_dir / "config.json")
 
 
+# JSON text the decoder cannot turn into a value: an integer over the
+# 4,300-digit conversion limit, and nesting past the recursion limit.
+UNDECODABLE = {"long-integer": '{"seed": ' + "1" * 5000 + "}", "deep-nesting": "[" * 100_000}
+
+
 def write_config(tmp_path, fixtures_dir, **overrides):
     """Write a config into tmp_path with absolute fixture paths."""
     raw = {
@@ -178,6 +183,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bad wake-word entry"):
             config.wake_words()
 
+    @pytest.mark.parametrize("text", [UNDECODABLE["long-integer"], UNDECODABLE["deep-nesting"]],
+                             ids=["long-integer", "deep-nesting"])
+    def test_undecodable_config_is_a_config_error(self, tmp_path, caplog, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+        caplog.clear()
+        assert main(["--config", str(path), "blocklist", "--wake", "VA1"]) == 1
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("text", [UNDECODABLE["long-integer"], UNDECODABLE["deep-nesting"]],
+                             ids=["long-integer", "deep-nesting"])
+    def test_undecodable_wake_word_file_is_a_config_error(self, tmp_path, fixtures_dir, text):
+        bad = tmp_path / "wake.json"
+        bad.write_text(text, encoding="utf-8")
+        path = write_config(tmp_path, fixtures_dir, wake_words=str(bad))
+        with pytest.raises(ConfigError, match="bad wake-word file"):
+            load_config(path).wake_words()
+        assert main(["--config", str(path), "blocklist", "--wake", "VA1"]) == 1
+
 
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
@@ -288,6 +314,24 @@ class TestExitCodes:
         assert code == 2
         assert [r.getMessage()[:7] for r in caplog.records if r.levelno == logging.ERROR] == [
             "line 2:"
+        ]
+
+    @pytest.mark.parametrize("log_name", ["events", "verification", "adjudication"])
+    def test_deeply_nested_log_line_names_its_line(self, config_path, tmp_path, fixtures_dir,
+                                                   caplog, log_name):
+        bad = tmp_path / f"{log_name}.jsonl"
+        bad.write_text("\n" + UNDECODABLE["deep-nesting"] + "\n", encoding="utf-8")
+        logs = {name: fixtures_dir / f"{name}.jsonl"
+                for name in ("events", "verification", "adjudication")}
+        logs[log_name] = bad
+        argv = ["--config", config_path, "--out", str(tmp_path), "harness"]
+        for name, path in logs.items():
+            argv += [f"--{name}", str(path)]
+        with caplog.at_level(logging.ERROR, logger="triggercraft.workbench"):
+            code = main(argv)
+        assert code == 2
+        assert [r.getMessage()[:17] for r in caplog.records if r.levelno == logging.ERROR] == [
+            "line 2: bad JSON:"
         ]
 
 
@@ -554,6 +598,40 @@ class TestHarnessCommand:
         window_rows = body.split("[windows]\n", 1)[1].splitlines()
         assert window_rows[0] == "media\tspeaker\tprogress_s\tstart_s\tend_s"
         assert len(window_rows) == 1 + 100
+
+    def test_missing_media_length_warned_once_per_media(self, tmp_path, fixtures_dir, caplog):
+        config = write_config(tmp_path, fixtures_dir, media_lengths={"show_a_e01": 1320.0})
+        with caplog.at_level(logging.WARNING, logger="triggercraft.workbench"):
+            out = run(str(config), tmp_path / "out", *self.harness_args(fixtures_dir))
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "triggercraft.workbench" and r.levelno == logging.WARNING]
+        assert warnings == ["no media length configured for 'news_b_e02' (34 events)"]
+        rows = (out / "harness_summary.tsv").read_text().split("[windows]\n", 1)[1].splitlines()
+        assert len(rows) == 1 + 66
+        assert all(row.startswith("show_a_e01\t") for row in rows[1:])
+
+    def test_window_numbers_written_to_twelve_digits(self, tmp_path, fixtures_dir):
+        fields = '"ts": "2019-10-01T12:00:00Z", "media": "m", "speaker": "VA1"'
+        logs = {}
+        for name, extra in [("events", ""), ("verification", ', "hits": 1'),
+                            ("adjudication", ', "reviewer_a": "accidental", '
+                                             '"reviewer_b": "accidental"')]:
+            logs[name] = tmp_path / f"{name}.jsonl"
+            logs[name].write_text(
+                "".join(f'{{{fields}, "progress_s": {p}{extra}}}\n'
+                        for p in (3.14159265358979, 100.123456789012)),
+                encoding="utf-8",
+            )
+        config = write_config(tmp_path, fixtures_dir, media_lengths={"m": 101.0000000000004})
+        argv = ["harness"]
+        for name, path in logs.items():
+            argv += [f"--{name}", str(path)]
+        out = run(str(config), tmp_path / "out", *argv)
+        rows = (out / "harness_summary.tsv").read_text().split("[windows]\n", 1)[1].splitlines()
+        assert rows[1:] == [
+            "m\tVA1\t3.14159265359\t0\t6.14159265359",
+            "m\tVA1\t100.123456789\t93.123456789\t101",
+        ]
 
     def test_windows_skipped_without_media_lengths(self, tmp_path, fixtures_dir):
         config = write_config(tmp_path, fixtures_dir)
