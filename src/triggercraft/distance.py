@@ -13,6 +13,12 @@ Three model variants share one implementation:
 * ``simple`` -- per-operation scale factors, no per-phone weights.
 * ``advanced`` -- scale factors multiplied by per-phone weight tables.
 
+One rule prices every edit: its cost is the operation's scale factor times
+the phone weight a :class:`CostContext` caches for it (1 outside the
+advanced model, 0 for a match), one IEEE product.  The batched kernel,
+:func:`align` and the tuning grid pass all read their weights from a
+context, so they agree on every cost bit for bit.
+
 Costs come from one batched kernel, :meth:`CostContext.score`, over a
 :class:`PhoneCodes` encoding of a vocabulary.  The encoding is built once
 per vocabulary and shared by every wake word and model ranked against it:
@@ -60,7 +66,6 @@ __all__ = [
     "WeightTable",
     "align",
     "distance_to_wakeword",
-    "lookup_weight",
 ]
 
 log = logging.getLogger(__name__)
@@ -197,35 +202,20 @@ class DistanceBreakdown:
     alignment: list[tuple]
 
 
-def lookup_weight(mapping, key, kind: str, warned: set[tuple]) -> float:
-    """``mapping[key]``, or the neutral weight 1.0 when the entry is missing.
-
-    A fallback is logged once per (``kind``, ``key``) for each ``warned``
-    set; the caller decides how long one set lives.
-    """
-    value = mapping.get(key)
-    if value is None:
-        if (kind, key) not in warned:
-            warned.add((kind, key))
-            log.warning("no %s weight for %r; falling back to 1.0", kind, key)
-        return 1.0
-    return value
-
-
 class CostContext:
     """Per-(wake word, model) scoring state reused across many candidates.
 
-    Building a context precomputes scaled substitution rows and deletion
-    costs for every wake-word position.  Missing advanced-table entries
-    fall back to a neutral weight of 1 and are logged once per ``warned``
-    set: by default one per context, or one that callers share between
-    the contexts of one run.
+    A context caches per-phone weights, never costs: the deletion weight of
+    each wake-word position, and the substitution and insertion weights of
+    the phones that candidates use, filled on first use (a match weighs 0).
+    Every consumer -- the batched kernel, :func:`align` and the tuning grid
+    pass -- prices an edit as its scale factor times this weight.  Missing
+    advanced-table entries fall back to a neutral weight of 1 and are logged
+    once per ``warned`` set: by default one per context, or one that
+    callers share between the contexts of one run.
     """
 
-    __slots__ = (
-        "wake", "model", "n", "_del_costs", "_del_weights", "_sub_rows",
-        "_sub_weights", "_ins_costs", "_ins_weights", "_warned",
-    )
+    __slots__ = ("wake", "model", "n", "_del_weights", "_sub_weights", "_ins_weights", "_warned")
 
     def __init__(self, wake: PhoneSeq, model: CostModel, warned: set[tuple] | None = None):
         if not wake:
@@ -234,48 +224,36 @@ class CostContext:
         self.model = model
         self.n = len(wake)
         self._warned: set[tuple] = set() if warned is None else warned
-        scales = model.scales
-        advanced = model.variant == "advanced"
-        table = model.table
-        self._del_costs = []
-        self._del_weights = []
-        for p in self.wake:
-            w = lookup_weight(table.deletion, p, "deletion", self._warned) if advanced else 1.0
-            self._del_weights.append(w)
-            self._del_costs.append(scales.d * w)
-        # One scaled-cost row per wake position; the diagonal entry is the
-        # free match.  Rows fill lazily so only phones actually seen in
-        # candidates are materialized.
-        self._sub_rows: list[dict[str, float]] = [{p: 0.0} for p in self.wake]
+        self._del_weights = [self._weight("deletion", p) for p in self.wake]
+        # One substitution row per wake position, the free match already in.
         self._sub_weights: list[dict[str, float]] = [{p: 0.0} for p in self.wake]
-        self._ins_costs: dict[str, float] = {}
         self._ins_weights: dict[str, float] = {}
 
-    def _sub_cost(self, position: int, q: str) -> float:
-        row = self._sub_rows[position]
-        cost = row.get(q)
-        if cost is None:
-            p = self.wake[position]
-            if self.model.variant == "advanced":
-                w = lookup_weight(
-                    self.model.table.substitution, (p, q), "substitution", self._warned
-                )
-            else:
-                w = 1.0
-            self._sub_weights[position][q] = w
-            cost = row[q] = self.model.scales.s * w
-        return cost
+    def _weight(self, kind: str, key) -> float:
+        """The ``kind`` weight of ``key``: 1.0 outside the advanced model, and
+        1.0, logged once per warned set, where its table has no entry."""
+        if self.model.variant != "advanced":
+            return 1.0
+        value = getattr(self.model.table, kind).get(key)
+        if value is None:
+            if (kind, key) not in self._warned:
+                self._warned.add((kind, key))
+                log.warning("no %s weight for %r; falling back to 1.0", kind, key)
+            return 1.0
+        return value
 
-    def _ins_cost(self, q: str) -> float:
-        cost = self._ins_costs.get(q)
-        if cost is None:
-            if self.model.variant == "advanced":
-                w = lookup_weight(self.model.table.insertion, q, "insertion", self._warned)
-            else:
-                w = 1.0
-            self._ins_weights[q] = w
-            cost = self._ins_costs[q] = self.model.scales.i * w
-        return cost
+    def _sub_weight(self, position: int, q: str) -> float:
+        row = self._sub_weights[position]
+        weight = row.get(q)
+        if weight is None:
+            weight = row[q] = self._weight("substitution", (self.wake[position], q))
+        return weight
+
+    def _ins_weight(self, q: str) -> float:
+        weight = self._ins_weights.get(q)
+        if weight is None:
+            weight = self._ins_weights[q] = self._weight("insertion", q)
+        return weight
 
     def cost(self, cand: PhoneSeq) -> float:
         """Unnormalized optimal rewrite cost (the distance is ``cost / n``).
@@ -312,23 +290,26 @@ class CostContext:
             occurs += np.bincount(block.ravel(), minlength=len(occurs))
         used = np.flatnonzero(occurs)
         phones = [codes.phones[c] for c in used]
+        scales = self.model.scales
         sub = np.zeros((self.n, len(occurs)))
-        sub[:, used] = [[self._sub_cost(i, q) for q in phones] for i in range(self.n)]
+        sub[:, used] = [[scales.s * self._sub_weight(i, q) for q in phones] for i in range(self.n)]
         ins = np.zeros(len(occurs))
-        ins[used] = [self._ins_cost(q) for q in phones]
+        ins[used] = [scales.i * self._ins_weight(q) for q in phones]
+        del_costs = [scales.d * w for w in self._del_weights]
 
         pron_costs = np.full(int(codes.counts.sum()), np.inf)
         for positions, block in blocks:
-            pron_costs[positions] = self._dp(block, ins[block], sub)
+            pron_costs[positions] = self._dp(block, ins[block], sub, del_costs)
         return np.minimum.reduceat(pron_costs, np.cumsum(codes.counts) - codes.counts)
 
-    def _dp(self, batch: np.ndarray, ins_costs: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    def _dp(self, batch: np.ndarray, ins_costs: np.ndarray, sub: np.ndarray,
+            del_costs: list[float]) -> np.ndarray:
         """Rewrite cost of each column of a ``(m, batch)`` block of phone codes."""
         m, width = batch.shape
         prev = np.zeros((m + 1, width))
         np.cumsum(ins_costs, axis=0, out=prev[1:])
         cur = np.empty_like(prev)
-        for position, del_cost in enumerate(self._del_costs):
+        for position, del_cost in enumerate(del_costs):
             # Substitution and deletion depend on the previous row only.
             vertical = prev[:-1] + sub[position][batch]
             np.minimum(vertical, prev[1:] + del_cost, out=vertical)
@@ -403,9 +384,14 @@ def align(wake: PhoneSeq, cand: PhoneSeq, model: CostModel) -> DistanceBreakdown
 def _align_in_context(ctx: CostContext, cand: PhoneSeq) -> DistanceBreakdown:
     n, m = ctx.n, len(cand)
     wake = ctx.wake
-    ins_costs = [ctx._ins_cost(q) for q in cand]
+    scales = ctx.model.scales
+    sub_scale = scales.s
+    ins_weights = [ctx._ins_weight(q) for q in cand]
+    sub_weights = [[ctx._sub_weight(i, q) for q in cand] for i in range(n)]
+    ins_costs = [scales.i * w for w in ins_weights]
+    del_costs = [scales.d * w for w in ctx._del_weights]
 
-    # Full cost/op matrices, row by row.
+    # Full cost/op matrices, row by row; row 0 inserts, column 0 deletes.
     cost = [[0.0] * (m + 1) for _ in range(n + 1)]
     ops = [[_INS] * (m + 1) for _ in range(n + 1)]
     acc = 0.0
@@ -413,17 +399,18 @@ def _align_in_context(ctx: CostContext, cand: PhoneSeq) -> DistanceBreakdown:
         acc += ins_costs[j - 1]
         cost[0][j] = acc
     for i in range(1, n + 1):
-        cost[i][0] = cost[i - 1][0] + ctx._del_costs[i - 1]
+        cost[i][0] = cost[i - 1][0] + del_costs[i - 1]
         ops[i][0] = _DEL
     for i in range(1, n + 1):
         p = wake[i - 1]
-        del_cost = ctx._del_costs[i - 1]
+        del_cost = del_costs[i - 1]
+        sub_row = sub_weights[i - 1]
         row_cost = cost[i]
         prev_cost = cost[i - 1]
         row_ops = ops[i]
         for j in range(1, m + 1):
             q = cand[j - 1]
-            best = prev_cost[j - 1] + ctx._sub_cost(i - 1, q)
+            best = prev_cost[j - 1] + sub_scale * sub_row[j - 1]
             op = _MATCH if p == q else _SUB
             alt = prev_cost[j] + del_cost
             if alt < best:
@@ -434,49 +421,30 @@ def _align_in_context(ctx: CostContext, cand: PhoneSeq) -> DistanceBreakdown:
             row_cost[j] = best
             row_ops[j] = op
 
-    # Backtrack the chosen script.
+    # Backtrack the chosen script, collecting the weight of each edit.
     steps: list[tuple] = []
+    sub_w: list[float] = []
+    del_w: list[float] = []
+    ins_w: list[float] = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i == 0:
-            op = _INS
-        elif j == 0:
-            op = _DEL
-        else:
-            op = ops[i][j]
+        op = ops[i][j]
         if op == _MATCH:
             steps.append(("match", wake[i - 1]))
             i, j = i - 1, j - 1
         elif op == _SUB:
             steps.append(("substitute", wake[i - 1], cand[j - 1]))
+            sub_w.append(sub_weights[i - 1][j - 1])
             i, j = i - 1, j - 1
         elif op == _DEL:
             steps.append(("delete", wake[i - 1]))
+            del_w.append(ctx._del_weights[i - 1])
             i -= 1
         else:
             steps.append(("insert", cand[j - 1]))
+            ins_w.append(ins_weights[j - 1])
             j -= 1
     steps.reverse()
-
-    sub_w: list[float] = []
-    del_w: list[float] = []
-    ins_w: list[float] = []
-    i = j = 0
-    for step in steps:
-        kind = step[0]
-        if kind == "match":
-            i += 1
-            j += 1
-        elif kind == "substitute":
-            sub_w.append(ctx._sub_weights[i][cand[j]])
-            i += 1
-            j += 1
-        elif kind == "delete":
-            del_w.append(ctx._del_weights[i])
-            i += 1
-        else:
-            ins_w.append(ctx._ins_weights[cand[j]])
-            j += 1
     return DistanceBreakdown(
         L=cost[n][m] / n,
         S=math.fsum(sub_w),

@@ -32,8 +32,8 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .candidates import Candidate, blocked_labels, normalize_label, rank_candidates
-from .distance import CostContext, CostModel, ScaleFactors, WeightTable, lookup_weight
+from .candidates import Candidate, Vocabulary, blocked_labels, normalize_label, rank_candidates
+from .distance import UNIT_SCALES, CostContext, CostModel, ScaleFactors, WeightTable
 from .errors import (
     NoTriggers,
     ParseError,
@@ -190,15 +190,13 @@ def rank_of(
     Rank 1 + (number of candidates strictly closer); tied candidates share
     the same rank.  Raises :class:`UnknownLabel` when the label is absent.
     """
-    wanted = normalize_label(label)
-    costs = CostContext(wake.phones, model).best_costs([c.prons for c in vocab])
-    target = next(
-        (cost for cand, cost in zip(vocab, costs) if normalize_label(cand.label) == wanted),
-        None,
-    )
-    if target is None:
-        raise UnknownLabel(f"label {label!r} not in vocabulary")
-    return 1 + int(np.count_nonzero(costs < target))
+    vocab = Vocabulary.of(vocab)
+    try:
+        target = vocab.normalized_labels.index(normalize_label(label))
+    except ValueError:
+        raise UnknownLabel(f"label {label!r} not in vocabulary") from None
+    costs = CostContext(wake.phones, model).score(vocab.codes)
+    return 1 + int(np.count_nonzero(costs < costs[target]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,49 +217,32 @@ def _grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _GridScorer:
     """Rewrite costs for one wake word at every grid point simultaneously.
 
-    Missing weight-table entries fall back to 1.0, logged once per
-    (kind, key) in ``warned``.
+    An edit costs the grid's scale vector times the weight ``ctx`` holds
+    for it, so each point prices it as :class:`CostContext` does.
     """
 
-    def __init__(
-        self,
-        wake: PhoneSeq,
-        table: WeightTable | None,
-        s_arr: np.ndarray,
-        d_arr: np.ndarray,
-        i_arr: np.ndarray,
-        warned: set[tuple],
-    ):
-        self.wake = tuple(wake)
-        self.table = table
+    def __init__(self, ctx: CostContext, s_arr: np.ndarray, d_arr: np.ndarray, i_arr: np.ndarray):
+        self.wake = ctx.wake
+        self.ctx = ctx
         self.s_arr = s_arr
-        self.d_arr = d_arr
         self.i_arr = i_arr
-        self.warned = warned
-        self.del_vecs = [d_arr * self._weight("deletion", p) for p in self.wake]
+        self.del_vecs = [d_arr * w for w in ctx._del_weights]
         self._sub_vecs: dict[tuple[int, str], np.ndarray] = {}
         self._ins_vecs: dict[str, np.ndarray] = {}
 
-    def _weight(self, kind: str, key) -> float:
-        """The table's ``kind`` weight for ``key``; 1.0 without a table."""
-        if self.table is None:
-            return 1.0
-        return lookup_weight(getattr(self.table, kind), key, kind, self.warned)
-
     def _sub_vec(self, position: int, q: str) -> np.ndarray | None:
-        p = self.wake[position]
-        if p == q:
+        if self.wake[position] == q:
             return None  # match: no cost added
         key = (position, q)
         vec = self._sub_vecs.get(key)
         if vec is None:
-            vec = self._sub_vecs[key] = self.s_arr * self._weight("substitution", (p, q))
+            vec = self._sub_vecs[key] = self.s_arr * self.ctx._sub_weight(position, q)
         return vec
 
     def _ins_vec(self, q: str) -> np.ndarray:
         vec = self._ins_vecs.get(q)
         if vec is None:
-            vec = self._ins_vecs[q] = self.i_arr * self._weight("insertion", q)
+            vec = self._ins_vecs[q] = self.i_arr * self.ctx._ins_weight(q)
         return vec
 
     def cost(self, cand: PhoneSeq) -> np.ndarray:
@@ -290,14 +271,6 @@ class _GridScorer:
 
 def _wake_map(wakes: Sequence[WakeWordSpec]) -> dict[str, WakeWordSpec]:
     return {w.id: w for w in wakes}
-
-
-def _variant_table(variant: str, table: WeightTable | None) -> WeightTable | None:
-    if variant == "advanced":
-        if table is None:
-            raise ValueError("advanced tuning requires a weight table")
-        return table
-    return None
 
 
 def _labels_by_wake(
@@ -342,8 +315,9 @@ class TriggerRanks:
         table: WeightTable | None = None,
         blocklists: Mapping[str, Iterable[str]] | None = None,
     ):
-        self.table = _variant_table(variant, table)
-        self.vocab = vocab
+        # Unit scales: the pass reads the model's weights, the grid the scales.
+        self.model = CostModel(variant, UNIT_SCALES, table if variant == "advanced" else None)
+        self.vocab = Vocabulary.of(vocab)
         self.wakes = _wake_map(wakes)
         self.blocklists = blocklists or {}
         self.labels = _labels_by_wake(triggers)
@@ -360,25 +334,25 @@ class TriggerRanks:
 
     def _rank_pass(self, wake: WakeWordSpec) -> dict[str, np.ndarray]:
         blocked = blocked_labels(wake, self.blocklists.get(wake.id, ()))
-        kept = [c for c in self.vocab if normalize_label(c.label) not in blocked]
+        kept = [(cand, label) for cand, label in zip(self.vocab, self.vocab.normalized_labels)
+                if label not in blocked]
         # A label's target is the first kept candidate carrying it.
         wanted = set(self.labels.get(wake.id, ()))
         target_of: dict[str, int] = {}
-        for idx, cand in enumerate(kept):
-            key = normalize_label(cand.label)
-            if key in wanted and key not in target_of:
-                target_of[key] = idx
+        for idx, (_, label) in enumerate(kept):
+            if label in wanted and label not in target_of:
+                target_of[label] = idx
         missing = wanted - target_of.keys()
         if missing:
             raise UnknownLabel(f"labels not in vocabulary for {wake.id!r}: {sorted(missing)}")
         if not target_of:
             return {}
-        scorer = _GridScorer(wake.phones, self.table, *self._arrays, warned=self.warned)
-        costs = {idx: scorer.best_cost(kept[idx].prons) for idx in target_of.values()}
+        scorer = _GridScorer(CostContext(wake.phones, self.model, self.warned), *self._arrays)
+        costs = {idx: scorer.best_cost(kept[idx][0].prons) for idx in target_of.values()}
         labels = list(target_of)
         targets = np.array([costs[target_of[lbl]] for lbl in labels])
         counts = np.ones(targets.shape, dtype=np.int64)
-        for idx, cand in enumerate(kept):
+        for idx, (cand, _) in enumerate(kept):
             cost = costs.get(idx)
             if cost is None:
                 cost = scorer.best_cost(cand.prons)

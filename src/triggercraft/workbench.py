@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -48,7 +49,7 @@ from .candidates import (
     rank_candidates,
 )
 from .distance import CostModel, ScaleFactors, WeightTable
-from .errors import ConfigError, TriggerCraftError
+from .errors import ConfigError, ParseError, TriggerCraftError
 from .lexicon import (
     PhoneInventory,
     PronouncingDictionary,
@@ -76,6 +77,8 @@ from .weights import (
 __all__ = ["WorkbenchConfig", "main"]
 
 log = logging.getLogger(__name__)
+
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 GRID_PRESETS = {
     "default": Grid.default,
@@ -109,11 +112,11 @@ class WorkbenchConfig:
         if self._dictionary is None:
             inventory = PhoneInventory.default()
             if self.inventory_path is not None:
-                with open(self.inventory_path, encoding="utf-8") as fh:
-                    inventory = PhoneInventory.load(fh)
+                inventory = _parse_file(self.inventory_path, PhoneInventory.load)
             try:
-                with open(self.dictionary_path, encoding="utf-8") as fh:
-                    self._dictionary = load_dictionary(fh, inventory)
+                self._dictionary = _parse_file(
+                    self.dictionary_path, lambda lines: load_dictionary(lines, inventory)
+                )
             except OSError as exc:
                 raise ConfigError(f"cannot read dictionary: {exc}") from None
             except TriggerCraftError as exc:
@@ -165,8 +168,7 @@ class WorkbenchConfig:
             if self.weight_table_path is None:
                 raise ConfigError("this command needs a 'weight_table' entry in the config")
             try:
-                with open(self.weight_table_path, encoding="utf-8") as fh:
-                    self._weight_table = load_weight_table(fh)
+                self._weight_table = _parse_file(self.weight_table_path, load_weight_table)
             except OSError as exc:
                 raise ConfigError(f"cannot read weight table: {exc}") from None
             except TriggerCraftError as exc:
@@ -262,6 +264,24 @@ def load_config(path: str | Path) -> WorkbenchConfig:
     )
 
 
+def _parse_file(path, parse):
+    """``parse`` run over the lines of the UTF-8 text file at ``path``.
+
+    A byte that is not UTF-8 is a :class:`ParseError` naming its line.
+    Text mode decodes a file in chunks, so the failing line is found by
+    reading the file again, only after a decode has failed.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            reason = exc.reason
+    # Undecodable bytes read back as lone surrogates, which UTF-8 text never holds.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lineno = next((n for n, line in enumerate(fh, 1) if _ESCAPED.search(line)), None)
+    raise ParseError(f"not UTF-8: {reason}", lineno)
+
+
 # ---------------------------------------------------------------------------
 # Output helpers.
 
@@ -331,8 +351,7 @@ def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     else:
         if args.transcripts is None:
             raise ConfigError("--source transcripts needs --transcripts FILE")
-        with open(args.transcripts, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = _parse_file(args.transcripts, list)
         vocab_by_name = {
             f"{n}-gram": extract_ngrams(lines, n, dictionary) for n in args.ngram_sizes
         }
@@ -349,25 +368,25 @@ def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
 
 
 def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
-    with open(args.triggers, encoding="utf-8") as fh:
-        triggers = load_trigger_labels(fh)
+    triggers = _parse_file(args.triggers, load_trigger_labels)
     dictionary = config.dictionary()
-    vocab = dictionary_candidates(dictionary)
+    vocab = config.vocabulary()
     # Triggers rank against the word list, so phrase triggers (and any
     # trigger missing from it) join the vocabulary as candidates.
-    known = {cand_mod.normalize_label(c.label) for c in vocab}
+    known = set(vocab.normalized_labels)
+    extra = []
     for trigger in triggers:
         label = cand_mod.normalize_label(trigger.trigger_label)
         if label not in known:
             known.add(label)
-            vocab.append(
+            extra.append(
                 Candidate(
                     label=label,
                     prons=tuple(phrase_phones(dictionary, label.split())),
                     source="trigger",
                 )
             )
-    vocab = Vocabulary(vocab)  # one encoding for every LOOCV ranking
+    vocab = Vocabulary([*vocab, *extra])  # one encoding for every LOOCV ranking
     wakes = config.wake_words()
     blocklists = {w.id: build_blocklist(w, dictionary) for w in wakes}
     table = config.weight_table() if args.variant == "advanced" else None
@@ -401,8 +420,7 @@ def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
 
 def cmd_ngrams(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     dictionary = config.dictionary()
-    with open(args.transcripts, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = _parse_file(args.transcripts, list)
     grams = extract_ngrams(lines, args.n, dictionary)
     body_lines = ["label\tcount\tpronunciations"]
     for gram in grams:
@@ -422,8 +440,7 @@ def cmd_blocklist(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
 
 def cmd_weights(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     if args.weights_action == "build":
-        with open(args.scores, encoding="utf-8") as fh:
-            scores = load_probe_scores(fh)
+        scores = _parse_file(args.scores, load_probe_scores)
         table = build_weight_table(scores, config.wake_words())
         import io
 
@@ -432,8 +449,7 @@ def cmd_weights(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
         writer.write(args.table_name, buffer.getvalue())
         return 0
     # check
-    with open(args.table, encoding="utf-8") as fh:
-        table = load_weight_table(fh)
+    table = _parse_file(args.table, load_weight_table)
     print(
         "ok: {} deletion, {} insertion, {} substitution entries over {} rows".format(
             len(table.deletion), len(table.insertion),
@@ -461,12 +477,9 @@ def cmd_probe_plan(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
 
 
 def cmd_harness(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
-    with open(args.events, encoding="utf-8") as fh:
-        events = harness_mod.parse_event_log(fh)
-    with open(args.verification, encoding="utf-8") as fh:
-        verifications = harness_mod.parse_verification_log(fh)
-    with open(args.adjudication, encoding="utf-8") as fh:
-        adjudications = harness_mod.parse_adjudication_log(fh)
+    events = _parse_file(args.events, harness_mod.parse_event_log)
+    verifications = _parse_file(args.verification, harness_mod.parse_verification_log)
+    adjudications = _parse_file(args.adjudication, harness_mod.parse_adjudication_log)
     analyses = harness_mod.join_records(events, verifications, adjudications)
     summary = harness_mod.summarize(analyses)
     body = harness_mod.format_summary(summary)

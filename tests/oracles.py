@@ -21,7 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from triggercraft.distance import CostModel, PhoneCodes, ScaleFactors, WeightTable
+from triggercraft.distance import (
+    CostModel,
+    DistanceBreakdown,
+    PhoneCodes,
+    ScaleFactors,
+    WeightTable,
+)
 from triggercraft.errors import NegativeProgress, ParseError
 from triggercraft.harness import (
     ActivationObservation,
@@ -168,6 +174,136 @@ def one_at_a_time(score):
         return costs
 
     return scored_singly
+
+
+# ---------------------------------------------------------------------------
+# The scalar alignment: full cost and op matrices, a backtrack, then a second
+# walk over the script to collect the weighted operation masses.  Priced
+# apart from the package, with the same products (scale times weight) and
+# the same fallback weight of 1 for a missing table entry.
+
+_MATCH, _SUB, _DEL, _INS = 0, 1, 2, 3
+
+
+def _reference_weights(wake, model: CostModel):
+    """(deletion weights, substitution weight of (i, q), insertion weight of q)."""
+    table = model.table if model.variant == "advanced" else None
+
+    def weight(kind, key):
+        return 1.0 if table is None else getattr(table, kind).get(key, 1.0)
+
+    def sub_weight(i, q):
+        p = wake[i]
+        return 0.0 if p == q else weight("substitution", (p, q))
+
+    def ins_weight(q):
+        return weight("insertion", q)
+
+    return [weight("deletion", p) for p in wake], sub_weight, ins_weight
+
+
+def reference_align(wake, cand, model: CostModel) -> DistanceBreakdown:
+    """What :func:`triggercraft.distance.align` returns, by the scalar DP."""
+    wake, cand = tuple(wake), tuple(cand)
+    scales = model.scales
+    del_weights, sub_weight, ins_weight = _reference_weights(wake, model)
+    del_costs = [scales.d * w for w in del_weights]
+    n, m = len(wake), len(cand)
+    ins_costs = [scales.i * ins_weight(q) for q in cand]
+
+    # Full cost/op matrices, row by row.
+    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
+    ops = [[_INS] * (m + 1) for _ in range(n + 1)]
+    acc = 0.0
+    for j in range(1, m + 1):
+        acc += ins_costs[j - 1]
+        cost[0][j] = acc
+    for i in range(1, n + 1):
+        cost[i][0] = cost[i - 1][0] + del_costs[i - 1]
+        ops[i][0] = _DEL
+    for i in range(1, n + 1):
+        p = wake[i - 1]
+        del_cost = del_costs[i - 1]
+        row_cost = cost[i]
+        prev_cost = cost[i - 1]
+        row_ops = ops[i]
+        for j in range(1, m + 1):
+            q = cand[j - 1]
+            best = prev_cost[j - 1] + scales.s * sub_weight(i - 1, q)
+            op = _MATCH if p == q else _SUB
+            alt = prev_cost[j] + del_cost
+            if alt < best:
+                best, op = alt, _DEL
+            alt = row_cost[j - 1] + ins_costs[j - 1]
+            if alt < best:
+                best, op = alt, _INS
+            row_cost[j] = best
+            row_ops[j] = op
+
+    # Backtrack the chosen script.
+    steps: list[tuple] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i == 0:
+            op = _INS
+        elif j == 0:
+            op = _DEL
+        else:
+            op = ops[i][j]
+        if op == _MATCH:
+            steps.append(("match", wake[i - 1]))
+            i, j = i - 1, j - 1
+        elif op == _SUB:
+            steps.append(("substitute", wake[i - 1], cand[j - 1]))
+            i, j = i - 1, j - 1
+        elif op == _DEL:
+            steps.append(("delete", wake[i - 1]))
+            i -= 1
+        else:
+            steps.append(("insert", cand[j - 1]))
+            j -= 1
+    steps.reverse()
+
+    sub_w: list[float] = []
+    del_w: list[float] = []
+    ins_w: list[float] = []
+    i = j = 0
+    for step in steps:
+        kind = step[0]
+        if kind == "match":
+            i += 1
+            j += 1
+        elif kind == "substitute":
+            sub_w.append(sub_weight(i, cand[j]))
+            i += 1
+            j += 1
+        elif kind == "delete":
+            del_w.append(del_weights[i])
+            i += 1
+        else:
+            ins_w.append(ins_weight(cand[j]))
+            j += 1
+    return DistanceBreakdown(
+        L=cost[n][m] / n,
+        S=math.fsum(sub_w),
+        D=math.fsum(del_w),
+        I=math.fsum(ins_w),
+        S_n=len(sub_w),
+        D_n=len(del_w),
+        I_n=len(ins_w),
+        N=n,
+        alignment=steps,
+    )
+
+
+def reference_distance(wake, prons, model: CostModel) -> DistanceBreakdown:
+    """The best variant's :func:`reference_align`; a tie keeps the first."""
+    best = None
+    for pron in prons:
+        breakdown = reference_align(wake, pron, model)
+        if best is None or breakdown.L < best.L:
+            best = breakdown
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Edit-distance scoring: frozen examples, oracle equivalence, invariants."""
 
+import dataclasses
 import logging
 import math
 import random
@@ -16,6 +17,8 @@ from oracles import (
     random_models,
     random_phones,
     random_weight_table,
+    reference_align,
+    reference_distance,
 )
 from triggercraft.candidates import Candidate, Vocabulary, rank_candidates
 from triggercraft.distance import (
@@ -376,6 +379,37 @@ class TestDistanceToWakeword:
     def test_no_pronunciations(self, wake_by_id):
         with pytest.raises(NoPronunciation):
             distance_to_wakeword(wake_by_id["VA3"], [], CostModel.unweighted())
+
+
+@st.composite
+def alignment_cases(draw):
+    # A 3-phone alphabet makes ties, and so the tie-break order, common.
+    phone = st.sampled_from(draw(st.sampled_from([ALPHABET[:3], ALPHABET])))
+    wake = tuple(draw(st.lists(phone, min_size=1, max_size=5)))
+    prons = draw(st.lists(st.lists(phone, max_size=6).map(tuple), min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    unweighted, simple, advanced = random_models(rng)
+    zeroed = draw(st.sets(st.sampled_from("sdi")))
+    scales = dataclasses.replace(simple.scales, **{name: 0.0 for name in zeroed})
+    # Missing entries fall back to weight 1, in the score and in the masses.
+    drop = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    table = WeightTable(*(
+        {key: w for key, w in getattr(advanced.table, kind).items() if rng.random() >= drop}
+        for kind in ("deletion", "insertion", "substitution")
+    ))
+    models = [unweighted, CostModel.simple(scales), CostModel.advanced(scales, table)]
+    return wake, prons, models
+
+
+@settings(max_examples=300, deadline=None)
+@given(alignment_cases())
+def test_alignment_equals_the_scalar_reference(case):
+    wake, prons, models = case
+    spec = WakeWordSpec(id="W", text="wake", phones=wake)
+    for model in models:
+        for pron in prons:
+            assert align(wake, pron, model) == reference_align(wake, pron, model)
+        assert distance_to_wakeword(spec, prons, model) == reference_distance(wake, prons, model)
 
 
 class TestModelValidation:

@@ -394,6 +394,29 @@ class TestFilterTriggers:
         assert any("kept 0 of 1" in r.message for r in caplog.records)
 
 
+class TestUnknownVariant:
+    WAKES = [
+        WakeWordSpec(id="W", text="unrelated", phones=("B", "AA")),
+        WakeWordSpec(id="X", text="other", phones=("K", "IY")),
+    ]
+    VOCAB = [cand("exact", ("B", "AA")), cand("target", ("B",)), cand("key", ("K", "IY"))]
+    TRIGGER = LabeledTrigger("W", "target")
+    KEY = LabeledTrigger("X", "key")
+    GRID = Grid.uniform(0.5, 1.0, 0.5)
+
+    @pytest.mark.parametrize("search", [
+        lambda c, v: grid_search([c.TRIGGER], c.VOCAB, c.WAKES, c.GRID, variant=v),
+        lambda c, v: filter_triggers([c.TRIGGER], c.VOCAB, c.WAKES, c.GRID, variant=v),
+        lambda c, v: best_achievable_rank(c.TRIGGER, c.VOCAB, c.WAKES[0], c.GRID, variant=v),
+        lambda c, v: cross_validate({"W": [c.TRIGGER], "X": [c.KEY]}, c.VOCAB, c.WAKES, c.GRID,
+                                    variant=v, k=1),
+    ], ids=["grid_search", "filter_triggers", "best_achievable_rank", "cross_validate"])
+    def test_misspelled_variant_is_rejected(self, search):
+        # A misspelled variant must not run as some other variant.
+        with pytest.raises(ValueError, match="unknown model variant 'advnced'"):
+            search(self, "advnced")
+
+
 class TestCrossValidate:
     # Three wake words over disjoint phone sets; each wake word's two
     # nearest candidates are strictly dominant at every grid point, so the
@@ -569,6 +592,37 @@ def test_shared_ranks_match_rank_of_everywhere(case):
         assert cross_validate(per_fold, vocab, wakes, grid, k=k, seed=0, **common) == hits
     # Each fold ranks its held-out wake word with the model tuned on the others.
     assert [call.args[2].scales for call in held_out_ranking.call_args_list] == fold_points
+
+
+_any_weight = st.floats(0.05, 2.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    wake=_pron,
+    prons=st.lists(st.lists(st.sampled_from(PHONES), max_size=5).map(tuple),
+                   min_size=1, max_size=3),
+    advanced=st.booleans(),
+    # Entries may be missing, so fallback weights are compared too.
+    table=st.builds(
+        WeightTable,
+        st.dictionaries(st.sampled_from(PHONES), _any_weight),
+        st.dictionaries(st.sampled_from(PHONES), _any_weight),
+        st.dictionaries(st.tuples(st.sampled_from(PHONES), st.sampled_from(PHONES))
+                        .filter(lambda pq: pq[0] != pq[1]), _any_weight),
+    ),
+    lo=st.sampled_from([0.0, 0.05, 0.25]),
+    step=st.sampled_from([0.05, 0.3]),
+)
+def test_grid_pass_costs_equal_the_kernel(wake, prons, advanced, table, lo, step):
+    # Equal ranks can hide different costs; compare the costs, bit for bit.
+    grid = Grid.uniform(lo, lo + 2 * step, step)
+    variant, table = ("advanced", table) if advanced else ("simple", None)
+    ctx = CostContext(wake, CostModel(variant, ScaleFactors(), table))
+    got = tuning._GridScorer(ctx, *tuning._grid_arrays(grid)).best_cost(prons)
+    expected = [CostContext(wake, CostModel(variant, point, table)).best_cost(prons)
+                for point in grid.points()]
+    assert got.tolist() == expected
 
 
 class TestFormatTuningReport:

@@ -335,6 +335,49 @@ class TestExitCodes:
         ]
 
 
+# How each input file reaches the CLI: the config entries that name it, the
+# command line after --config ({bad} is its path), and the exit code.
+HARNESS = ["harness", "--events", "{events}", "--verification", "{verification}",
+           "--adjudication", "{adjudication}"]
+INPUT_FILES = {
+    "dictionary": (["dictionary"], ["blocklist", "--wake", "VA1"], 1),
+    "inventory": (["inventory"], ["blocklist", "--wake", "VA1"], 2),
+    "transcripts": ([], ["rank", "--wake", "VA1", "--source", "transcripts",
+                         "--transcripts", "{bad}"], 2),
+    "ngram-transcripts": ([], ["ngrams", "--n", "1", "--transcripts", "{bad}"], 2),
+    "trigger-labels": ([], ["tune", "--triggers", "{bad}"], 2),
+    "probe-scores": ([], ["weights", "build", "--scores", "{bad}"], 2),
+    "weight-table": (["weight_table"], ["rank", "--wake", "VA1", "--model", "advanced"], 1),
+    "checked-weight-table": ([], ["weights", "check", "--table", "{bad}"], 2),
+    "events": ([], HARNESS, 2),
+    "verification": ([], HARNESS, 2),
+    "adjudication": ([], HARNESS, 2),
+}
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("kind", list(INPUT_FILES))
+    def test_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path, fixtures_dir, caplog,
+                                                       kind):
+        # Lines every parser skips, long enough that the bad line sits past
+        # the first chunk a text file decodes.
+        blank = " " * 20 + "\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes((blank * 1499 + " \xff\n" + blank * 500).encode("latin-1"))
+        entries, command, code = INPUT_FILES[kind]
+        paths = {name: str(fixtures_dir / f"{name}.jsonl")
+                 for name in ("events", "verification", "adjudication")}
+        paths[kind] = paths["bad"] = str(bad)
+        entries = {"weight_table": str(fixtures_dir / "weights.tsv"),
+                   **{key: str(bad) for key in entries}}
+        config = write_config(tmp_path, fixtures_dir, **entries)
+        argv = ["--config", str(config), "--out", str(tmp_path / "out")]
+        argv += [arg.format(**paths) for arg in command]
+        with caplog.at_level(logging.ERROR, logger="triggercraft.workbench"):
+            assert main(argv) == code
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "line 1500: not UTF-8" in errors[0]
+
 def run(config_path, out_dir, *argv):
     code = main(["--config", config_path, "--no-timestamp", "--out", str(out_dir), *argv])
     assert code == 0
