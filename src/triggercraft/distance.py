@@ -15,31 +15,28 @@ Three model variants share one implementation:
 
 One rule prices every edit: its cost is the operation's scale factor times
 the phone weight a :class:`CostContext` caches for it (1 outside the
-advanced model, 0 for a match), one IEEE product.  The batched kernel,
-:func:`align` and the tuning grid pass all read their weights from a
-context, so they agree on every cost bit for bit.
+advanced model, 0 for a match), one IEEE product.  The kernel, :func:`align`
+and the tuning grid pass all read their weights from a context, so they
+agree on every cost bit for bit.
 
-Costs come from one batched kernel, :meth:`CostContext.score`, over a
-:class:`PhoneCodes` encoding of a vocabulary.  The encoding is built once
-per vocabulary and shared by every wake word and model ranked against it:
-the phones of every pronunciation as small integers, in order of first
-use, grouped by pronunciation length m into one ``(m, batch)`` block of
-codes each.  A ranking masks out its blocked candidates, builds an
-``(n, P)`` substitution table and a ``(P,)`` insertion table for the P
-phones that occur in the kept candidates only, and runs the dynamic
-program over the kept columns of each block at once, one DP row per
-wake-word position.
+One kernel, :func:`rewrite_costs`, runs the dynamic program cell by cell,
+each cell one float64 vector whose lanes are independent problems.
+:meth:`CostContext.score` lays candidates along it: the kept columns of
+each length-m block of a :class:`PhoneCodes` encoding, which is built once
+per vocabulary and shared by every wake word and model ranked against it,
+priced for the phones of kept candidates only.  The tuning grid pass lays
+grid points along it instead, one pronunciation at a time.
 
 The kernel is bit-identical to the scalar recurrence that :func:`align`
 runs.  Each cell performs the same IEEE-754 additions on the same
 operands -- ``diag + sub``, ``up + del``, ``left + ins`` -- and keeps the
 smallest; a minimum of three finite non-negative values does not depend
-on the order they are compared in.  The first row is the running sum of
-insertion costs, added left to right, and the first column the running
-sum of deletion costs, as in the scalar loop.  A candidate's cost is the
-minimum over its variants, so the per-candidate reduction is exact too.
-A column's result depends on its own codes only, so neither the batch it
-is scored in nor the mask changes it.
+on the order they are compared in, and a match adds 0 in both.  The first
+row is the running sum of insertion costs, added left to right, and the
+first column the running sum of deletion costs, as in the scalar loop.
+A candidate's cost is the minimum over its variants, so the per-candidate
+reduction is exact too.  A lane depends on its own operands only, so
+neither its batch, the mask nor the other grid points change it.
 :func:`align` keeps its own scalar DP because it also records the
 operations for the backtrack.
 """
@@ -66,6 +63,7 @@ __all__ = [
     "WeightTable",
     "align",
     "distance_to_wakeword",
+    "rewrite_costs",
 ]
 
 log = logging.getLogger(__name__)
@@ -126,7 +124,7 @@ class WeightTable:
             values = list(mapping.values())
             if any(not math.isfinite(v) or v < 0 for v in values):
                 raise FormatError(f"{name} weights must be finite and >= 0")
-            mean = math.fsum(values) / len(values)
+            mean = exact_mean(values)
             if abs(mean - 1.0) > tolerance:
                 raise FormatError(f"{name} weights have mean {mean!r}, expected 1.0")
         rows: dict[str, list[float]] = {}
@@ -137,11 +135,17 @@ class WeightTable:
                 raise FormatError(f"substitution weight {row}->{col} must be finite and >= 0")
             rows.setdefault(row, []).append(value)
         for row, values in rows.items():
-            mean = math.fsum(values) / len(values)
+            mean = exact_mean(values)
             if abs(mean - 1.0) > tolerance:
-                raise FormatError(
-                    f"substitution row {row!r} has mean {mean!r}, expected 1.0"
-                )
+                raise FormatError(f"substitution row {row!r} has mean {mean!r}, expected 1.0")
+
+
+def exact_mean(values: Sequence[float]) -> float:
+    """fsum(values) / n, order-independent; where the sum overflows, fsum of each value / n."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
 
 
 @dataclass(frozen=True)
@@ -208,11 +212,9 @@ class CostContext:
     A context caches per-phone weights, never costs: the deletion weight of
     each wake-word position, and the substitution and insertion weights of
     the phones that candidates use, filled on first use (a match weighs 0).
-    Every consumer -- the batched kernel, :func:`align` and the tuning grid
-    pass -- prices an edit as its scale factor times this weight.  Missing
-    advanced-table entries fall back to a neutral weight of 1 and are logged
-    once per ``warned`` set: by default one per context, or one that
-    callers share between the contexts of one run.
+    Missing advanced-table entries fall back to a neutral weight of 1 and
+    are logged once per ``warned`` set: by default one per context, or one
+    that callers share between the contexts of one run.
     """
 
     __slots__ = ("wake", "model", "n", "_del_weights", "_sub_weights", "_ins_weights", "_warned")
@@ -299,26 +301,36 @@ class CostContext:
 
         pron_costs = np.full(int(codes.counts.sum()), np.inf)
         for positions, block in blocks:
-            pron_costs[positions] = self._dp(block, ins[block], sub, del_costs)
+            subs = (row[block] for row in sub)
+            pron_costs[positions] = rewrite_costs(len(positions), ins[block], subs, del_costs)
         return np.minimum.reduceat(pron_costs, np.cumsum(codes.counts) - codes.counts)
 
-    def _dp(self, batch: np.ndarray, ins_costs: np.ndarray, sub: np.ndarray,
-            del_costs: list[float]) -> np.ndarray:
-        """Rewrite cost of each column of a ``(m, batch)`` block of phone codes."""
-        m, width = batch.shape
-        prev = np.zeros((m + 1, width))
-        np.cumsum(ins_costs, axis=0, out=prev[1:])
-        cur = np.empty_like(prev)
-        for position, del_cost in enumerate(del_costs):
-            # Substitution and deletion depend on the previous row only.
-            vertical = prev[:-1] + sub[position][batch]
-            np.minimum(vertical, prev[1:] + del_cost, out=vertical)
-            np.add(prev[0], del_cost, out=cur[0])
-            for j in range(m):
-                np.add(cur[j], ins_costs[j], out=cur[j + 1])
-                np.minimum(vertical[j], cur[j + 1], out=cur[j + 1])
-            prev, cur = cur, prev
-        return prev[m]
+
+def rewrite_costs(width: int, ins, subs, dels) -> np.ndarray:
+    """Rewrite costs of ``width`` lanes at once, one ``(width,)`` vector per DP cell.
+
+    ``ins[j]``, ``subs[i][j]`` (0 on a match) and ``dels[i]`` (a scalar or a
+    vector) price inserting candidate phone j, pairing wake phone i with it
+    and deleting wake phone i.  Every cell runs into two preallocated
+    ``(m+1, width)`` rows and one scratch vector.
+    """
+    m = len(ins)
+    prev = np.zeros((m + 1, width))
+    for j in range(m):
+        np.add(prev[j], ins[j], out=prev[j + 1])
+    cur = np.empty_like(prev)
+    alt = np.empty(width)
+    for sub_row, del_cost in zip(subs, dels):
+        np.add(prev[0], del_cost, out=cur[0])
+        for j in range(m):
+            cell = cur[j + 1]
+            np.add(prev[j], sub_row[j], out=cell)
+            np.add(prev[j + 1], del_cost, out=alt)
+            np.minimum(cell, alt, out=cell)
+            np.add(cur[j], ins[j], out=alt)
+            np.minimum(cell, alt, out=cell)
+        prev, cur = cur, prev
+    return prev[m].copy()  # a copy frees both rows
 
 
 class PhoneCodes:

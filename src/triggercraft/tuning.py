@@ -18,9 +18,10 @@ first argmin of the summed per-wake worst vectors) and every
 leave-one-wake-out fold (the same argmin over the other wake words) are
 reductions over those vectors.
 
-The rank pass runs the edit-distance dynamic program over all grid points
-at once (one numpy vector per cell), performing exactly the same float
-arithmetic as the scalar scorer.
+The rank pass runs the one edit-distance kernel, ``distance.rewrite_costs``,
+with the grid along its vectors: per pronunciation, two preallocated rows
+of m+1 float vectors over the grid.  Each point performs exactly the float
+arithmetic of ranking at that point.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .candidates import Candidate, Vocabulary, blocked_labels, normalize_label, rank_candidates
-from .distance import UNIT_SCALES, CostContext, CostModel, ScaleFactors, WeightTable
+from .distance import (UNIT_SCALES, CostContext, CostModel, ScaleFactors, WeightTable,
+                       rewrite_costs)
 from .errors import (
     NoTriggers,
     ParseError,
@@ -62,8 +64,9 @@ log = logging.getLogger(__name__)
 
 _TRIGGER_HEADER = ["wake_id", "trigger_label", "times_triggered"]
 
-# Every rank pass holds a few float vectors of this length per DP cell and
-# per cached weight; the cap keeps a mistyped step from exhausting memory.
+# A rank pass holds float vectors of this length: two DP rows of m+1, one
+# per cached weight and per trigger label; the cap keeps a mistyped step
+# from exhausting memory.
 # The "extended" preset has 29,791 points.
 MAX_GRID_POINTS = 250_000
 
@@ -230,9 +233,7 @@ class _GridScorer:
         self._sub_vecs: dict[tuple[int, str], np.ndarray] = {}
         self._ins_vecs: dict[str, np.ndarray] = {}
 
-    def _sub_vec(self, position: int, q: str) -> np.ndarray | None:
-        if self.wake[position] == q:
-            return None  # match: no cost added
+    def _sub_vec(self, position: int, q: str) -> np.ndarray:
         key = (position, q)
         vec = self._sub_vecs.get(key)
         if vec is None:
@@ -245,27 +246,13 @@ class _GridScorer:
             vec = self._ins_vecs[q] = self.i_arr * self.ctx._ins_weight(q)
         return vec
 
-    def cost(self, cand: PhoneSeq) -> np.ndarray:
-        ins_vecs = [self._ins_vec(q) for q in cand]
-        prev: list[np.ndarray] = [np.zeros_like(self.s_arr)]
-        for vec in ins_vecs:
-            prev.append(prev[-1] + vec)
-        for position in range(len(self.wake)):
-            del_vec = self.del_vecs[position]
-            cur = [prev[0] + del_vec]
-            for j, q in enumerate(cand, 1):
-                sub = self._sub_vec(position, q)
-                diag = prev[j - 1] if sub is None else prev[j - 1] + sub
-                cell = np.minimum(diag, prev[j] + del_vec)
-                np.minimum(cell, cur[j - 1] + ins_vecs[j - 1], out=cell)
-                cur.append(cell)
-            prev = cur
-        return prev[-1]
-
     def best_cost(self, prons: Sequence[PhoneSeq]) -> np.ndarray:
-        best = self.cost(prons[0])
-        for pron in prons[1:]:
-            best = np.minimum(best, self.cost(pron))
+        best = None
+        for pron in prons:
+            ins = [self._ins_vec(q) for q in pron]
+            subs = ([self._sub_vec(i, q) for q in pron] for i in range(len(self.wake)))
+            cost = rewrite_costs(len(self.s_arr), ins, subs, self.del_vecs)
+            best = cost if best is None else np.minimum(best, cost, out=best)
         return best
 
 

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .distance import WeightTable
+from .distance import WeightTable, exact_mean
 from .errors import (
     EmptyInput,
     FormatError,
@@ -74,6 +74,11 @@ class ProbeScore:
             raise ValueError(f"unknown edit kind {self.edit!r}")
         if (self.edit == "substitute") != (self.target is not None):
             raise ValueError("substitute scores need a target phone; others must not have one")
+        for name, symbol in (("phone", self.phone), ("target", self.target)):
+            if symbol is not None and (not symbol or symbol != symbol.strip()):
+                raise ValueError(f"{name} {symbol!r} is empty or padded with whitespace")
+        if not math.isfinite(self.score_delta):
+            raise ValueError(f"score_delta {self.score_delta!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,14 @@ def plan_rows(plan: ProbePlan, inventory_symbols: Iterable[str]) -> list[tuple[s
 
 
 def load_probe_scores(lines: Iterable[str]) -> list[ProbeScore]:
-    """Parse a tab-separated probe-score file (header required)."""
+    """Parse a tab-separated probe-score file (header required).
+
+    A line with an empty or whitespace-padded phone or target, or a score
+    delta that is not finite, or a second score for one cell, is a
+    :class:`ParseError` naming it.
+    """
     scores = []
+    first_line: dict[tuple, int] = {}
     lineiter = enumerate(lines, 1)
     for lineno, raw in lineiter:
         header = raw.rstrip("\n")
@@ -157,18 +168,22 @@ def load_probe_scores(lines: Iterable[str]) -> list[ProbeScore]:
             raise ParseError(f"expected 6 tab-separated fields, got {len(parts)}", lineno)
         phone, edit, target, word, voice, delta = parts
         try:
-            scores.append(
-                ProbeScore(
-                    phone=phone,
-                    edit=edit,
-                    target=None if target == "-" else target,
-                    word=word,
-                    voice=int(voice),
-                    score_delta=float(delta),
-                )
+            score = ProbeScore(
+                phone=phone,
+                edit=edit,
+                target=None if target == "-" else target,
+                word=word,
+                voice=int(voice),
+                score_delta=float(delta),
             )
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
+        cell = (edit, *_cell(score))
+        if cell in first_line:
+            raise ParseError(f"duplicate probe cell {cell!r}, first on line {first_line[cell]}",
+                             lineno)
+        first_line[cell] = lineno
+        scores.append(score)
     return scores
 
 
@@ -203,7 +218,7 @@ def aggregate_weights(scores: Sequence[ProbeScore], kind: str):
     means = {}
     for key, values in deltas.items():
         # fsum is exactly rounded, so the mean is input-order independent.
-        mean = math.fsum(values) / len(values)
+        mean = exact_mean(values)
         if mean < 0:
             log.warning("clamping negative mean weight %r for %r to 0", mean, key)
             mean = 0.0
@@ -219,7 +234,7 @@ def normalize_mean_one(weights: dict) -> dict:
     """
     if not weights:
         raise EmptyInput("no weights to normalize")
-    mean = math.fsum(weights.values()) / len(weights)
+    mean = exact_mean(list(weights.values()))
     if mean <= 0:
         raise ZeroMean(f"cannot normalize weights with mean {mean!r}")
     return {key: value / mean for key, value in weights.items()}
@@ -236,7 +251,8 @@ def build_weight_table(
     deletion and insertion vectors are normalized over their whole domain;
     each substitution row is normalized independently over its columns.
     Diagonal substitution scores are dropped: substituting a phone with
-    itself is a match, not an edit.
+    itself is a match, not an edit.  A table that fails
+    :meth:`WeightTable.validate` raises its :class:`FormatError`.
     """
     by_kind: dict[str, list[ProbeScore]] = {kind: [] for kind in EDIT_KINDS}
     dropped_diagonal = 0
@@ -267,12 +283,15 @@ def build_weight_table(
         for col, value in normalize_mean_one(cols).items():
             substitution[(row, col)] = value
 
-    return WeightTable(
+    table = WeightTable(
         deletion=normalize_mean_one(raw_del),
         insertion=normalize_mean_one(raw_ins),
         substitution=substitution,
         row_phones=frozenset(rows),
     )
+    # Means of tiny deltas can lose the precision to normalize them to 1.
+    table.validate()
+    return table
 
 
 def _format_weight(value: float) -> str:

@@ -3,7 +3,8 @@
 Arbitrary lines, and arbitrary JSON objects over the known record keys, go
 to each parser; nothing but the package's own errors may come out.  The
 three measurement-log parsers, and the join of their records, must also
-give what the reference implementations in ``oracles`` give.
+give what the reference implementations in ``oracles`` give.  Stored
+dictionaries and weight tables read back exactly as they were written.
 """
 
 import io
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_join, reference_log
@@ -33,11 +34,19 @@ from triggercraft.harness import (
 from triggercraft.lexicon import (
     CONSONANTS,
     VOWELS,
+    PhoneInventory,
     Pronunciation,
     PronouncingDictionary,
     load_dictionary,
 )
 from triggercraft.tuning import load_trigger_labels
+from triggercraft.weights import (
+    ProbeScore,
+    build_weight_table,
+    load_probe_scores,
+    load_weight_table,
+    store_weight_table,
+)
 
 LOG_PARSERS = [parse_event_log, parse_verification_log, parse_adjudication_log]
 ALL_PARSERS = LOG_PARSERS + [load_trigger_labels, load_dictionary]
@@ -258,3 +267,85 @@ def test_dictionary_dump_load_round_trip(entries):
         return {w: [(v.variant_index, v.phones) for v in vs] for w, vs in d.items()}
 
     assert listing(loaded) == listing(dictionary)
+
+
+# ---------------------------------------------------------------------------
+# Weight tables, probe scores and the phone inventory.
+
+# Tokens that get lines past each parser's first checks: section headers,
+# comments, edit kinds, phone classes, symbols, and numbers of every kind.
+TABLE_TOKENS = [
+    "[deletion]", "[insertion]", "[substitution]", "[other]", "#", ";;;", "-",
+    "delete", "insert", "substitute", "vowel", "consonant", "AH", "S", " S", "",
+    "0", "1", "-1", "0.5", "1e308", "-1e308", "5e-324", "1e999", "nan", "inf", "-inf",
+    "1_0", "\u0663", "\x00",
+]
+PROBE_HEADER = "phone\tedit\ttarget\tword\tvoice\tscore_delta"
+table_tokens = st.sampled_from(TABLE_TOKENS) | st.text(max_size=6)
+table_line = (st.builds("\t".join, st.lists(table_tokens, max_size=7))
+              | st.builds(" ".join, st.lists(table_tokens, max_size=3))
+              | st.text(max_size=30))
+table_lines = st.builds(
+    lambda head, body: head + body,
+    st.sampled_from([[], [PROBE_HEADER]]),
+    st.lists(table_line, max_size=10),
+)
+
+
+@pytest.mark.parametrize("parse", [load_weight_table, load_probe_scores, PhoneInventory.load],
+                         ids=lambda f: f.__qualname__)
+@settings(max_examples=300, deadline=None)
+@given(text_lines=table_lines)
+@example(text_lines=["[deletion]", "AA\t1e308", "B\t1e308"])
+@example(text_lines=[PROBE_HEADER, "AH\tdelete\t-\tW\t1\t1e999"])
+def test_fuzzed_table_lines(parse, text_lines):
+    try:
+        parse(text_lines)
+    except TriggerCraftError:
+        pass
+
+
+@st.composite
+def probe_scores(draw):
+    """Probe scores over a few phones, each (edit, phone, target, voice) cell once."""
+    symbols = draw(st.lists(st.sampled_from(VOWELS + CONSONANTS), min_size=2, max_size=4,
+                            unique=True))
+    phone = st.sampled_from(symbols)
+    # Typical deltas, and any finite ones: tiny, huge and negative (clamped to 0).
+    delta = st.floats(0.01, 10.0) | st.floats(allow_nan=False, allow_infinity=False)
+    scores = []
+    for edit in ("delete", "insert"):
+        for p, voice in draw(st.lists(st.tuples(phone, st.integers(1, 3)), min_size=1,
+                                      max_size=6, unique=True)):
+            scores.append(ProbeScore(p, edit, None, "W", voice, draw(delta)))
+    pairs = st.tuples(phone, phone, st.integers(1, 3)).filter(lambda cell: cell[0] != cell[1])
+    for p, q, voice in draw(st.lists(pairs, min_size=1, max_size=8, unique=True)):
+        scores.append(ProbeScore(p, "substitute", q, "W", voice, draw(delta)))
+    return scores
+
+
+def weight_bits(table):
+    """Every entry of a table as the hex of its float, so -0.0 differs from 0.0."""
+    sections = (table.deletion, table.insertion, table.substitution)
+    return [{key: value.hex() for key, value in section.items()} for section in sections]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=probe_scores())
+@example(scores=[ProbeScore("AA", "delete", None, "W", v, 1e308) for v in (1, 2)]
+         + [ProbeScore("AA", "insert", None, "W", 1, 1.0),
+            ProbeScore("AA", "substitute", "B", "W", 1, 1.0)])
+@example(scores=[ProbeScore("AA", "delete", None, "W", 1, 5e-324),
+                 ProbeScore("B", "delete", None, "W", 1, 1e-323),
+                 ProbeScore("AA", "insert", None, "W", 1, 1.0),
+                 ProbeScore("AA", "substitute", "B", "W", 1, 1.0)])
+def test_built_weight_tables_round_trip_bit_for_bit(scores):
+    try:
+        table = build_weight_table(scores, [])
+    except TriggerCraftError:
+        assume(False)  # these scores make no table
+    stream = io.StringIO()
+    store_weight_table(table, stream)
+    loaded = load_weight_table(io.StringIO(stream.getvalue()))
+    assert weight_bits(loaded) == weight_bits(table)
+    assert loaded.row_phones == table.row_phones

@@ -7,9 +7,10 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_costs
 from triggercraft import tuning
 from triggercraft.candidates import (
     Candidate,
@@ -621,6 +622,42 @@ def test_grid_pass_costs_equal_the_kernel(wake, prons, advanced, table, lo, step
     ctx = CostContext(wake, CostModel(variant, ScaleFactors(), table))
     got = tuning._GridScorer(ctx, *tuning._grid_arrays(grid)).best_cost(prons)
     expected = [CostContext(wake, CostModel(variant, point, table)).best_cost(prons)
+                for point in grid.points()]
+    assert got.tolist() == expected
+
+
+# Three phones, so wake words repeat phones and candidates meet them in match cells.
+_FEW = ("AA", "B", "K")
+_few_table = st.builds(
+    WeightTable,
+    st.dictionaries(st.sampled_from(_FEW), _any_weight),
+    st.dictionaries(st.sampled_from(_FEW), _any_weight),
+    st.dictionaries(st.tuples(st.sampled_from(_FEW), st.sampled_from(_FEW))
+                    .filter(lambda pq: pq[0] != pq[1]), _any_weight),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    wake=st.lists(st.sampled_from(_FEW), min_size=1, max_size=4).map(tuple),
+    prons=st.lists(st.lists(st.sampled_from(_FEW), max_size=4).map(tuple),
+                   min_size=1, max_size=3),
+    advanced=st.booleans(),
+    table=_few_table,  # entries may be missing: their weight falls back to 1
+    lo=st.sampled_from([0.0, 0.0, 0.05, 0.25]),
+    step=st.sampled_from([0.05, 0.3, 0.7]),
+)
+@example(wake=("AA", "B", "AA"), prons=[(), ("AA", "AA"), ("B", "AA", "K", "AA")],
+         advanced=True, table=WeightTable({"AA": 0.5}, {"K": 2.0}, {("AA", "B"): 0.25}),
+         lo=0.0, step=0.3)
+def test_grid_pass_costs_equal_the_oracle(wake, prons, advanced, table, lo, step):
+    # The brute-force enumeration of edit scripts shares no code with the kernel.
+    grid = Grid.uniform(lo, lo + step, step)
+    variant, table = ("advanced", table) if advanced else ("simple", None)
+    ctx = CostContext(wake, CostModel(variant, ScaleFactors(), table))
+    got = tuning._GridScorer(ctx, *tuning._grid_arrays(grid)).best_cost(prons)
+    expected = [min(oracle_costs(wake, pron, [CostModel(variant, point, table)])[0]
+                    for pron in prons)
                 for point in grid.points()]
     assert got.tolist() == expected
 

@@ -690,3 +690,35 @@ class TestHarnessCommand:
             media, _speaker, progress, start, end = row.split("\t")
             assert 0.0 <= float(start) < float(end) <= lengths[media]
             assert float(start) >= float(progress) - 7.0 - 1e-9
+
+
+# Probe-score lines that `weights build` must reject rather than turn into a
+# table that `weights check` refuses or that reads back different symbols.
+MALFORMED_PROBE_LINES = {
+    "nan-delta": "K\tinsert\t-\tZZWORD\t1\tnan",
+    "inf-delta": "K\tinsert\t-\tZZWORD\t1\tinf",
+    "minus-inf-delta": "K\tinsert\t-\tZZWORD\t1\t-inf",
+    "empty-phone": "\tinsert\t-\tZZWORD\t1\t0.5",
+    "padded-phone": " S\tinsert\t-\tZZWORD\t1\t0.5",
+    "empty-target": "S\tsubstitute\t\tZZWORD\t1\t0.5",
+    "padded-target": "S\tsubstitute\tZ \tZZWORD\t1\t0.5",
+    # The fixture's first data line again, scored a second time.
+    "duplicate-cell": "AH\tdelete\t-\tABOUT\t1\t0.25",
+}
+
+
+class TestMalformedProbeScores:
+    @pytest.mark.parametrize("kind", list(MALFORMED_PROBE_LINES))
+    def test_weights_build_names_the_line(self, config_path, tmp_path, fixtures_dir, caplog,
+                                          kind):
+        lines = (fixtures_dir / "probe_scores.tsv").read_text(encoding="utf-8").splitlines()
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\n".join(lines + [MALFORMED_PROBE_LINES[kind]]) + "\n",
+                          encoding="utf-8")
+        argv = ["--config", config_path, "--out", str(tmp_path / "out"),
+                "weights", "build", "--scores", str(scores)]
+        with caplog.at_level(logging.ERROR, logger="triggercraft.workbench"):
+            assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and f"line {len(lines) + 1}:" in errors[0]
+        assert not (tmp_path / "out" / "weights.tsv").exists()
