@@ -199,9 +199,8 @@ def rank_candidates(
     if not len(kept):
         raise EmptyVocabulary(f"no candidates left for {wake.id!r} after blocklist filtering")
 
-    warned: set[tuple] = set()
     # Indices below run over the kept candidates, in vocabulary order.
-    costs = CostContext(wake.phones, model, warned).score(vocab.codes, keep)[kept]
+    costs = CostContext(wake.phones, model).score(vocab.codes, keep)[kept]
 
     def by_cost(idx: int) -> tuple:
         return (costs[idx], vocab[kept[idx]].label, idx)
@@ -228,7 +227,7 @@ def rank_candidates(
     items = []
     for position, idx in enumerate(selected, 1):
         cand = vocab[kept[idx]]
-        breakdown = distance_to_wakeword(wake, cand.prons, model, warned)
+        breakdown = distance_to_wakeword(wake, cand.prons, model)
         items.append(RankedItem(position, cand, breakdown.L, breakdown))
     return RankedList(
         wake=wake, model=model, k=k, seed=seed, items=items,

@@ -28,17 +28,21 @@ priced for the phones of kept candidates only.  The tuning grid pass lays
 grid points along it instead, one pronunciation at a time.
 
 The kernel is bit-identical to the scalar recurrence that :func:`align`
-runs.  Each cell performs the same IEEE-754 additions on the same
-operands -- ``diag + sub``, ``up + del``, ``left + ins`` -- and keeps the
-smallest; a minimum of three finite non-negative values does not depend
-on the order they are compared in, and a match adds 0 in both.  The first
-row is the running sum of insertion costs, added left to right, and the
-first column the running sum of deletion costs, as in the scalar loop.
+runs on Python floats.  Each cell performs the same IEEE-754 additions on
+the same operands -- ``diag + sub``, ``up + del``, ``left + ins`` -- and
+keeps the smallest; a minimum of three finite non-negative values does not
+depend on the order they are compared in, and a match adds 0 in both.  The
+first row is the running sum of insertion costs, added left to right, and
+the first column the running sum of deletion costs, as in the scalar loop.
 A candidate's cost is the minimum over its variants, so the per-candidate
 reduction is exact too.  A lane depends on its own operands only, so
 neither its batch, the mask nor the other grid points change it.
-:func:`align` keeps its own scalar DP because it also records the
-operations for the backtrack.
+
+:func:`align` keeps no op matrix: it reads the edit script of the one
+variant it reports back from that variant's costs.  Each step is the first
+of diagonal, delete and insert whose sum, recomputed with the same
+addition, equals its cell; a cell is the exact minimum of its three sums,
+so this is the forward pass's tie-break.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -69,10 +73,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 VARIANTS = ("unweighted", "simple", "advanced")
-
-# Backtrack op codes, in tie-break priority order: a match beats a
-# substitution, which beats a deletion, which beats an insertion.
-_MATCH, _SUB, _DEL, _INS = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,24 @@ class WeightTable:
     ``substitution`` maps (wake phone, candidate phone) pairs.  Rows of the
     substitution table exist only for phones that occur in the configured
     wake words (``row_phones``); lookups outside the stored entries fall
-    back to a neutral weight of 1 at scoring time.
+    back to a neutral weight of 1 at scoring time, logged once per table.
     """
 
     deletion: dict[str, float]
     insertion: dict[str, float]
     substitution: dict[tuple[str, str], float]
     row_phones: frozenset[str] = frozenset()
+    _fallbacks: set[tuple] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def weight(self, kind: str, key) -> float:
+        """The ``kind`` weight of ``key``; 1.0 where there is none, logged the first time."""
+        value = getattr(self, kind).get(key)
+        if value is None:
+            if (kind, key) not in self._fallbacks:
+                self._fallbacks.add((kind, key))
+                log.warning("no %s weight for %r; falling back to 1.0", kind, key)
+            return 1.0
+        return value
 
     def validate(self, tolerance: float = 1e-9) -> None:
         """Check the normalization invariants of an estimated table.
@@ -212,37 +223,28 @@ class CostContext:
     A context caches per-phone weights, never costs: the deletion weight of
     each wake-word position, and the substitution and insertion weights of
     the phones that candidates use, filled on first use (a match weighs 0).
-    Missing advanced-table entries fall back to a neutral weight of 1 and
-    are logged once per ``warned`` set: by default one per context, or one
-    that callers share between the contexts of one run.
+    Missing advanced-table entries fall back to a neutral weight of 1,
+    logged once per :class:`WeightTable`, however many contexts read it.
     """
 
-    __slots__ = ("wake", "model", "n", "_del_weights", "_sub_weights", "_ins_weights", "_warned")
+    __slots__ = ("wake", "model", "n", "_del_weights", "_sub_weights", "_ins_weights")
 
-    def __init__(self, wake: PhoneSeq, model: CostModel, warned: set[tuple] | None = None):
+    def __init__(self, wake: PhoneSeq, model: CostModel):
         if not wake:
             raise EmptyWakeWord("wake word has no phones")
         self.wake = tuple(wake)
         self.model = model
         self.n = len(wake)
-        self._warned: set[tuple] = set() if warned is None else warned
         self._del_weights = [self._weight("deletion", p) for p in self.wake]
         # One substitution row per wake position, the free match already in.
         self._sub_weights: list[dict[str, float]] = [{p: 0.0} for p in self.wake]
         self._ins_weights: dict[str, float] = {}
 
     def _weight(self, kind: str, key) -> float:
-        """The ``kind`` weight of ``key``: 1.0 outside the advanced model, and
-        1.0, logged once per warned set, where its table has no entry."""
+        """The ``kind`` weight of ``key``: 1.0 outside the advanced model."""
         if self.model.variant != "advanced":
             return 1.0
-        value = getattr(self.model.table, kind).get(key)
-        if value is None:
-            if (kind, key) not in self._warned:
-                self._warned.add((kind, key))
-                log.warning("no %s weight for %r; falling back to 1.0", kind, key)
-            return 1.0
-        return value
+        return self.model.table.weight(kind, key)
 
     def _sub_weight(self, position: int, q: str) -> float:
         row = self._sub_weights[position]
@@ -389,76 +391,83 @@ def align(wake: PhoneSeq, cand: PhoneSeq, model: CostModel) -> DistanceBreakdown
     tie-break prefers match over substitute over delete over insert, which
     makes the returned alignment deterministic.
     """
-    ctx = CostContext(wake, model)
-    return _align_in_context(ctx, cand)
+    return _align_best(CostContext(wake, model), (cand,))
 
 
-def _align_in_context(ctx: CostContext, cand: PhoneSeq) -> DistanceBreakdown:
-    n, m = ctx.n, len(cand)
-    wake = ctx.wake
-    scales = ctx.model.scales
-    sub_scale = scales.s
-    ins_weights = [ctx._ins_weight(q) for q in cand]
-    sub_weights = [[ctx._sub_weight(i, q) for q in cand] for i in range(n)]
-    ins_costs = [scales.i * w for w in ins_weights]
+def distance_to_wakeword(
+    wake: WakeWordSpec, cand_prons: Sequence[PhoneSeq], model: CostModel
+) -> DistanceBreakdown:
+    """Best-variant distance: the minimum over a candidate's pronunciations.
+
+    Ties keep the lowest variant index.
+    """
+    if not cand_prons:
+        raise NoPronunciation(f"no pronunciations to score against {wake.id!r}")
+    return _align_best(CostContext(wake.phones, model), cand_prons)
+
+
+def _align_best(ctx: CostContext, prons: Sequence[PhoneSeq]) -> DistanceBreakdown:
+    """The breakdown of the variant with the smallest ``L``, the first on a tie.
+
+    Every variant runs the scalar recurrence and keeps its rows; only the
+    chosen one is backtracked, each step read back from the costs.
+    """
+    wake, n, scales = ctx.wake, ctx.n, ctx.model.scales
     del_costs = [scales.d * w for w in ctx._del_weights]
+    best = None
+    for cand in prons:
+        ins_costs = [scales.i * ctx._ins_weight(q) for q in cand]
+        row = [0.0]
+        for ins_cost in ins_costs:
+            row.append(row[-1] + ins_cost)
+        rows = [row]
+        for i, del_cost in enumerate(del_costs):
+            sub_costs = [scales.s * ctx._sub_weight(i, q) for q in cand]
+            prev = row
+            left = prev[0] + del_cost
+            row = [left]
+            for diag, up, sub_cost, ins_cost in zip(prev, prev[1:], sub_costs, ins_costs):
+                cell = diag + sub_cost
+                alt = up + del_cost
+                if alt < cell:
+                    cell = alt
+                alt = left + ins_cost
+                if alt < cell:
+                    cell = alt
+                row.append(cell)
+                left = cell
+            rows.append(row)
+        L = row[-1] / n
+        if best is None or L < best[0]:
+            best = (L, cand, rows)
 
-    # Full cost/op matrices, row by row; row 0 inserts, column 0 deletes.
-    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
-    ops = [[_INS] * (m + 1) for _ in range(n + 1)]
-    acc = 0.0
-    for j in range(1, m + 1):
-        acc += ins_costs[j - 1]
-        cost[0][j] = acc
-    for i in range(1, n + 1):
-        cost[i][0] = cost[i - 1][0] + del_costs[i - 1]
-        ops[i][0] = _DEL
-    for i in range(1, n + 1):
-        p = wake[i - 1]
-        del_cost = del_costs[i - 1]
-        sub_row = sub_weights[i - 1]
-        row_cost = cost[i]
-        prev_cost = cost[i - 1]
-        row_ops = ops[i]
-        for j in range(1, m + 1):
-            q = cand[j - 1]
-            best = prev_cost[j - 1] + sub_scale * sub_row[j - 1]
-            op = _MATCH if p == q else _SUB
-            alt = prev_cost[j] + del_cost
-            if alt < best:
-                best, op = alt, _DEL
-            alt = row_cost[j - 1] + ins_costs[j - 1]
-            if alt < best:
-                best, op = alt, _INS
-            row_cost[j] = best
-            row_ops[j] = op
-
-    # Backtrack the chosen script, collecting the weight of each edit.
+    # Each step is the first of diagonal, delete and insert that sums to its cell.
+    L, cand, rows = best
     steps: list[tuple] = []
     sub_w: list[float] = []
     del_w: list[float] = []
     ins_w: list[float] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        op = ops[i][j]
-        if op == _MATCH:
-            steps.append(("match", wake[i - 1]))
+    i, j = n, len(cand)
+    while i or j:
+        cell = rows[i][j]
+        if i and j and rows[i - 1][j - 1] + scales.s * ctx._sub_weight(i - 1, cand[j - 1]) == cell:
+            if wake[i - 1] == cand[j - 1]:
+                steps.append(("match", wake[i - 1]))
+            else:
+                steps.append(("substitute", wake[i - 1], cand[j - 1]))
+                sub_w.append(ctx._sub_weight(i - 1, cand[j - 1]))
             i, j = i - 1, j - 1
-        elif op == _SUB:
-            steps.append(("substitute", wake[i - 1], cand[j - 1]))
-            sub_w.append(sub_weights[i - 1][j - 1])
-            i, j = i - 1, j - 1
-        elif op == _DEL:
+        elif i and rows[i - 1][j] + del_costs[i - 1] == cell:
             steps.append(("delete", wake[i - 1]))
             del_w.append(ctx._del_weights[i - 1])
             i -= 1
         else:
             steps.append(("insert", cand[j - 1]))
-            ins_w.append(ins_weights[j - 1])
+            ins_w.append(ctx._ins_weight(cand[j - 1]))
             j -= 1
     steps.reverse()
     return DistanceBreakdown(
-        L=cost[n][m] / n,
+        L=L,
         S=math.fsum(sub_w),
         D=math.fsum(del_w),
         I=math.fsum(ins_w),
@@ -468,25 +477,3 @@ def _align_in_context(ctx: CostContext, cand: PhoneSeq) -> DistanceBreakdown:
         N=n,
         alignment=steps,
     )
-
-
-def distance_to_wakeword(
-    wake: WakeWordSpec,
-    cand_prons: Sequence[PhoneSeq],
-    model: CostModel,
-    warned: set[tuple] | None = None,
-) -> DistanceBreakdown:
-    """Best-variant distance: the minimum over a candidate's pronunciations.
-
-    Ties keep the lowest variant index.  ``warned`` is passed to the
-    :class:`CostContext`, so a caller can log each weight fallback once.
-    """
-    if not cand_prons:
-        raise NoPronunciation(f"no pronunciations to score against {wake.id!r}")
-    ctx = CostContext(wake.phones, model, warned)
-    best: DistanceBreakdown | None = None
-    for pron in cand_prons:
-        breakdown = _align_in_context(ctx, pron)
-        if best is None or breakdown.L < best.L:
-            best = breakdown
-    return best

@@ -308,7 +308,6 @@ class TriggerRanks:
         self.wakes = _wake_map(wakes)
         self.blocklists = blocklists or {}
         self.labels = _labels_by_wake(triggers)
-        self.warned: set[tuple] = set()
         self._arrays = _grid_arrays(grid)
         self._vectors: dict[str, dict[str, np.ndarray]] = {}
 
@@ -334,7 +333,7 @@ class TriggerRanks:
             raise UnknownLabel(f"labels not in vocabulary for {wake.id!r}: {sorted(missing)}")
         if not target_of:
             return {}
-        scorer = _GridScorer(CostContext(wake.phones, self.model, self.warned), *self._arrays)
+        scorer = _GridScorer(CostContext(wake.phones, self.model), *self._arrays)
         costs = {idx: scorer.best_cost(kept[idx][0].prons) for idx in target_of.values()}
         labels = list(target_of)
         targets = np.array([costs[target_of[lbl]] for lbl in labels])

@@ -75,8 +75,13 @@ class ProbeScore:
         if (self.edit == "substitute") != (self.target is not None):
             raise ValueError("substitute scores need a target phone; others must not have one")
         for name, symbol in (("phone", self.phone), ("target", self.target)):
-            if symbol is not None and (not symbol or symbol != symbol.strip()):
+            if symbol is None:
+                continue
+            if not symbol or symbol != symbol.strip():
                 raise ValueError(f"{name} {symbol!r} is empty or padded with whitespace")
+            if symbol.startswith("#"):
+                # A weight table would read its line as a comment.
+                raise ValueError(f"{name} {symbol!r} begins with '#'")
         if not math.isfinite(self.score_delta):
             raise ValueError(f"score_delta {self.score_delta!r} is not finite")
 
@@ -143,9 +148,9 @@ def plan_rows(plan: ProbePlan, inventory_symbols: Iterable[str]) -> list[tuple[s
 def load_probe_scores(lines: Iterable[str]) -> list[ProbeScore]:
     """Parse a tab-separated probe-score file (header required).
 
-    A line with an empty or whitespace-padded phone or target, or a score
-    delta that is not finite, or a second score for one cell, is a
-    :class:`ParseError` naming it.
+    A line with an empty or whitespace-padded phone or target, or one that
+    begins with ``#``, or a score delta that is not finite, or a second
+    score for one cell, is a :class:`ParseError` naming it.
     """
     scores = []
     first_line: dict[tuple, int] = {}

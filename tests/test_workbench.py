@@ -536,6 +536,26 @@ class TestTuneCommand:
         assert len(scorers) == 3
         assert {scorer.wake: scorer.scored for scorer in scorers} == expected
 
+    def test_missing_weight_warned_once_per_run(self, tmp_path, fixtures_dir, caplog):
+        # Insertion weights for AH and EH only: every other inserted phone
+        # falls back, in the shared rank pass and again in each fold.
+        lines = (fixtures_dir / "weights.tsv").read_text(encoding="utf-8").splitlines()
+        start, end = lines.index("[insertion]"), lines.index("[substitution]")
+        (tmp_path / "weights.tsv").write_text(
+            "\n".join(lines[: start + 1] + ["AH\t1", "EH\t1"] + lines[end:]) + "\n",
+            encoding="utf-8")
+        # The bundled config, its relative weight_table now naming the cut table.
+        config = json.loads((fixtures_dir / "config.json").read_text(encoding="utf-8"))
+        del config["dictionary"], config["wake_words"]
+        path = write_config(tmp_path, fixtures_dir, **config)
+        with caplog.at_level(logging.WARNING, logger="triggercraft.distance"):
+            run(str(path), tmp_path / "out", "tune",
+                "--triggers", str(fixtures_dir / "triggers.tsv"), "--variant", "advanced",
+                "--loocv")
+        fallbacks = [m for m in caplog.messages if "falling back" in m]
+        assert fallbacks and all(m.startswith("no insertion weight") for m in fallbacks)
+        assert len(fallbacks) == len(set(fallbacks))
+
     def test_reruns_are_byte_identical(self, config_path, tmp_path, fixtures_dir):
         first = run(config_path, tmp_path / "a", "tune",
                     "--triggers", str(fixtures_dir / "triggers.tsv"), "--loocv")
@@ -702,6 +722,9 @@ MALFORMED_PROBE_LINES = {
     "padded-phone": " S\tinsert\t-\tZZWORD\t1\t0.5",
     "empty-target": "S\tsubstitute\t\tZZWORD\t1\t0.5",
     "padded-target": "S\tsubstitute\tZ \tZZWORD\t1\t0.5",
+    # A weight table reads a line that begins with "#" as a comment.
+    "hash-phone": "#X\tinsert\t-\tZZWORD\t1\t0.5",
+    "hash-target": "S\tsubstitute\t#Z\tZZWORD\t1\t0.5",
     # The fixture's first data line again, scored a second time.
     "duplicate-cell": "AH\tdelete\t-\tABOUT\t1\t0.25",
 }
