@@ -205,24 +205,20 @@ def rank_candidates(
     def by_cost(idx: int) -> tuple:
         return (costs[idx], vocab[kept[idx]].label, idx)
 
-    if len(kept) <= k:
-        selected = sorted(range(len(kept)), key=by_cost)
+    # Only candidates at or below the K-th smallest cost can be listed; with
+    # K or fewer candidates that boundary is the largest cost, so all are.
+    cut = min(k, len(kept)) - 1
+    boundary = np.partition(costs, cut)[cut]
+    order = sorted(np.flatnonzero(costs <= boundary).tolist(), key=by_cost)
+    below = [idx for idx in order if costs[idx] < boundary]
+    pool = [idx for idx in order if costs[idx] == boundary]
+    slots = k - len(below)
+    if slots >= len(pool):
         pool_size = 0
+        selected = below + pool
     else:
-        # Only candidates at or below the K-th smallest cost can be listed.
-        boundary = np.partition(costs, k - 1)[k - 1]
-        order = sorted(np.flatnonzero(costs <= boundary).tolist(), key=by_cost)
-        below = [idx for idx in order if costs[idx] < boundary]
-        pool = [idx for idx in order if costs[idx] == boundary]
-        slots = k - len(below)
-        if slots == len(pool):
-            pool_size = 0
-            selected = below + pool
-        else:
-            pool_size = len(pool)
-            drawn = random.Random(seed).sample(pool, slots)
-            position = {idx: pos for pos, idx in enumerate(order)}
-            selected = below + sorted(drawn, key=position.__getitem__)
+        pool_size = len(pool)
+        selected = below + sorted(random.Random(seed).sample(pool, slots), key=by_cost)
 
     items = []
     for position, idx in enumerate(selected, 1):

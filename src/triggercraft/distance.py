@@ -120,21 +120,32 @@ class WeightTable:
             return 1.0
         return value
 
+    def check_weights(self, error: type[Exception] = ValueError) -> None:
+        """Raise ``error`` for the first weight that is not finite and >= 0.
+
+        Such a weight cannot price an edit: it makes costs NaN or lets an
+        alignment's backtrack find no step that sums to its cell.
+        """
+        for name in ("deletion", "insertion", "substitution"):
+            for key, value in getattr(self, name).items():
+                if not (math.isfinite(value) and value >= 0):
+                    raise error(f"{name} weight {key!r} is {value!r}, not finite and >= 0")
+
     def validate(self, tolerance: float = 1e-9) -> None:
         """Check the normalization invariants of an estimated table.
 
-        Deletion and insertion weights must be non-negative, finite, and
-        average to 1 over their domain; every substitution row must average
-        to 1 over its stored columns and never contain the diagonal.
+        Every weight must pass :meth:`check_weights`.  Deletion and
+        insertion weights must average to 1 over their domain; every
+        substitution row must average to 1 over its stored columns and
+        never contain the diagonal.
         """
         from .errors import FormatError
 
+        self.check_weights(FormatError)
         for name, mapping in (("deletion", self.deletion), ("insertion", self.insertion)):
             if not mapping:
                 raise FormatError(f"{name} section is empty")
             values = list(mapping.values())
-            if any(not math.isfinite(v) or v < 0 for v in values):
-                raise FormatError(f"{name} weights must be finite and >= 0")
             mean = exact_mean(values)
             if abs(mean - 1.0) > tolerance:
                 raise FormatError(f"{name} weights have mean {mean!r}, expected 1.0")
@@ -142,8 +153,6 @@ class WeightTable:
         for (row, col), value in self.substitution.items():
             if row == col:
                 raise FormatError(f"substitution table contains diagonal entry {row!r}")
-            if not math.isfinite(value) or value < 0:
-                raise FormatError(f"substitution weight {row}->{col} must be finite and >= 0")
             rows.setdefault(row, []).append(value)
         for row, values in rows.items():
             mean = exact_mean(values)
@@ -177,8 +186,10 @@ class CostModel:
                 raise ValueError("unweighted model takes no weight table")
         if self.variant == "simple" and self.table is not None:
             raise ValueError("simple model takes no weight table")
-        if self.variant == "advanced" and self.table is None:
-            raise ValueError("advanced model requires a weight table")
+        if self.variant == "advanced":
+            if self.table is None:
+                raise ValueError("advanced model requires a weight table")
+            self.table.check_weights()
 
     @classmethod
     def unweighted(cls) -> "CostModel":

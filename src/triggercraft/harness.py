@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
 )
 from .errors import EmptyInput
+from .readers import finite_number, string, whole_number
 
 __all__ = [
     "ActivationObservation",
@@ -164,27 +165,6 @@ def _json_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
         yield lineno, record
 
 
-def _string(record: dict, key: str) -> str:
-    """``record[key]`` if it is a JSON string; nothing else."""
-    value = record[key]
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _finite_number(value, key: str) -> float:
-    """A JSON number (not a boolean) with a finite float value; nothing else."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-        else:
-            if math.isfinite(number):
-                return number
-    raise ValueError(f"{key} must be a finite number, got {value!r}")
-
-
 def _parse_event_fields(record: dict, lineno: int) -> TriggerEvent:
     # Values of the common exact JSON types pass inline; anything else goes
     # to the checking helper, which converts it or raises its message.
@@ -192,17 +172,17 @@ def _parse_event_fields(record: dict, lineno: int) -> TriggerEvent:
     try:
         ts = record["ts"]
         if type(ts) is not str:
-            ts = _string(record, "ts")
+            ts = string(ts, "ts")
         timestamp = datetime.fromisoformat(ts.replace("Z", "+00:00"))
         media_id = record["media"]
         if type(media_id) is not str:
-            media_id = _string(record, "media")
+            media_id = string(media_id, "media")
         progress = record["progress_s"]
         if type(progress) is not float or progress - progress != 0.0:
-            progress = _finite_number(progress, "progress_s")
+            progress = finite_number(progress, "progress_s")
         speaker = record["speaker"]
         if type(speaker) is not str:
-            speaker = _string(record, "speaker")
+            speaker = string(speaker, "speaker")
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad event record: {exc!r}", lineno) from None
     if progress < 0:
@@ -213,15 +193,6 @@ def _parse_event_fields(record: dict, lineno: int) -> TriggerEvent:
 def parse_event_log(lines: Iterable[str]) -> list[TriggerEvent]:
     """Parse a JSON-lines event log; unknown keys are ignored."""
     return [_parse_event_fields(record, lineno) for lineno, record in _json_records(lines)]
-
-
-def _whole_number(value, key: str) -> int:
-    """A JSON integer, or a float with no fractional part; nothing else."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{key} must be a whole number, got {value!r}")
 
 
 def _flag(record: dict, key: str) -> bool:
@@ -242,14 +213,14 @@ def parse_verification_log(
         try:
             replays = record.get("replays", MAX_REPLAYS)
             if type(replays) is not int:
-                replays = _whole_number(replays, "replays")
+                replays = whole_number(replays, "replays")
             hits = record["hits"]
             if type(hits) is not int:
-                hits = _whole_number(hits, "hits")
+                hits = whole_number(hits, "hits")
             verification = VerificationResult(event, replays, hits)
             led_on = record.get("led_on_s", 0.0)
             if type(led_on) is not float or led_on - led_on != 0.0:
-                led_on = _finite_number(led_on, "led_on_s")
+                led_on = finite_number(led_on, "led_on_s")
             voice = record.get("voice_response", False)
             if type(voice) is not bool:
                 voice = _flag(record, "voice_response")

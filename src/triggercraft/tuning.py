@@ -7,6 +7,10 @@ A grid point is scored by the worst trigger rank per wake word, summed over
 wake words; grid search returns the point minimizing that sum, breaking
 ties toward the lexicographically smallest (s, d, i).
 
+The grid (:class:`Grid`) is one axis of values, shared by s, d and i, so
+a grid point is three indices into it.  A :class:`LabeledTrigger` holds
+its label normalized, so every reduction matches labels as they are.
+
 A trigger's rank at a grid point depends on its wake word, its label and
 the point, never on which triggers are being tuned on.  So a tuning run
 makes one rank pass per wake word (:class:`TriggerRanks`): every
@@ -26,10 +30,11 @@ arithmetic of ranking at that point.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +49,7 @@ from .errors import (
     UnknownWakeWord,
 )
 from .lexicon import PhoneSeq, WakeWordSpec
+from .readers import tsv_rows
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -73,31 +79,22 @@ MAX_GRID_POINTS = 250_000
 
 @dataclass(frozen=True)
 class LabeledTrigger:
-    """A phrase observed to trigger a wake word, with an optional count."""
+    """A phrase observed to trigger a wake word, with an optional count.
+
+    The label is kept normalized, as vocabulary labels are matched."""
 
     wake_id: str
     trigger_label: str
     times_triggered: int | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "trigger_label", normalize_label(self.trigger_label))
+
 
 def load_trigger_labels(lines: Iterable[str]) -> list[LabeledTrigger]:
     """Parse the tab-separated trigger-label format (header required)."""
     triggers = []
-    lineiter = enumerate(lines, 1)
-    for lineno, raw in lineiter:
-        header = raw.rstrip("\n")
-        if not header.strip():
-            continue
-        if header.split("\t") != _TRIGGER_HEADER:
-            raise ParseError(f"bad trigger-label header {header!r}", lineno)
-        break
-    else:
-        raise ParseError("empty trigger-label file")
-    for lineno, raw in lineiter:
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
+    for lineno, parts in tsv_rows(lines, _TRIGGER_HEADER, "trigger-label"):
         if len(parts) not in (2, 3):
             raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(parts)}", lineno)
         times: int | None = None
@@ -106,46 +103,37 @@ def load_trigger_labels(lines: Iterable[str]) -> list[LabeledTrigger]:
                 times = int(parts[2])
             except ValueError:
                 raise ParseError(f"bad times_triggered {parts[2]!r}", lineno) from None
-        triggers.append(
-            LabeledTrigger(
-                wake_id=parts[0].strip(),
-                trigger_label=normalize_label(parts[1]),
-                times_triggered=times,
-            )
-        )
+        triggers.append(LabeledTrigger(parts[0].strip(), parts[1], times))
     return triggers
 
 
 @dataclass(frozen=True)
 class Grid:
-    """An inclusive search grid over the three scale factors."""
+    """An inclusive search grid over the three scale factors: each of the
+    s, d and i axes runs from ``lo`` to ``hi`` in steps of ``step``."""
 
-    lo: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    hi: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    step: tuple[float, float, float] = (0.05, 0.05, 0.05)
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, step: float) -> "Grid":
-        return cls((lo,) * 3, (hi,) * 3, (step,) * 3)
+    lo: float = 0.0
+    hi: float = 1.0
+    step: float = 0.05
 
     @classmethod
     def default(cls) -> "Grid":
         """The standard [0, 1] grid with step 0.05 (21 values per axis)."""
-        return cls.uniform(0.0, 1.0, 0.05)
+        return cls()
 
     @classmethod
     def extended(cls) -> "Grid":
         """A wider [0, 1.5] grid for optima that sit past 1."""
-        return cls.uniform(0.0, 1.5, 0.05)
+        return cls(0.0, 1.5, 0.05)
 
-    def axis_count(self, axis: int) -> int:
-        """The number of values on ``axis``, worked out without listing them.
+    def axis_count(self) -> int:
+        """The number of values on an axis, worked out without listing them.
 
         Raises ``ValueError`` for a non-finite bound or step, a step <= 0,
         ``lo < 0`` (scale factors are non-negative), ``hi < lo``, or an axis
         longer than :data:`MAX_GRID_POINTS`.
         """
-        lo, hi, step = self.lo[axis], self.hi[axis], self.step[axis]
+        lo, hi, step = self.lo, self.hi, self.step
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or lo < 0 or hi < lo:
             raise ValueError(f"bad grid axis: lo={lo} hi={hi} step={step}")
         span = (hi - lo) / step
@@ -154,24 +142,20 @@ class Grid:
                              f"the cap of {MAX_GRID_POINTS} grid points")
         return int(math.floor(span + 1e-9)) + 1
 
-    def axis_values(self, axis: int) -> list[float]:
-        lo, step = self.lo[axis], self.step[axis]
-        return [round(lo + k * step, 12) for k in range(self.axis_count(axis))]
+    def axis_values(self) -> list[float]:
+        return [round(self.lo + k * self.step, 12) for k in range(self.axis_count())]
 
     def point_count(self) -> int:
         """Grid size; raises ``ValueError`` for a bad axis or a grid over
         :data:`MAX_GRID_POINTS`."""
-        count = self.axis_count(0) * self.axis_count(1) * self.axis_count(2)
+        count = self.axis_count() ** 3
         if count > MAX_GRID_POINTS:
             raise ValueError(f"grid has {count} points, over the cap of {MAX_GRID_POINTS}")
         return count
 
     def points(self) -> Iterable[ScaleFactors]:
         """All grid points in lexicographic (s, d, i) order."""
-        for s in self.axis_values(0):
-            for d in self.axis_values(1):
-                for i in self.axis_values(2):
-                    yield ScaleFactors(s, d, i)
+        return itertools.starmap(ScaleFactors, itertools.product(self.axis_values(), repeat=3))
 
 
 @dataclass
@@ -207,14 +191,10 @@ def rank_of(
 
 
 def _grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s_axis = np.asarray(grid.axis_values(0))
-    d_axis = np.asarray(grid.axis_values(1))
-    i_axis = np.asarray(grid.axis_values(2))
-    n_d, n_i = len(d_axis), len(i_axis)
-    s_arr = np.repeat(s_axis, n_d * n_i)
-    d_arr = np.tile(np.repeat(d_axis, n_i), len(s_axis))
-    i_arr = np.tile(i_axis, len(s_axis) * n_d)
-    return s_arr, d_arr, i_arr
+    """The s, d and i value of each grid point, in lexicographic order."""
+    axis = np.asarray(grid.axis_values())
+    n = len(axis)
+    return np.repeat(axis, n * n), np.tile(np.repeat(axis, n), n), np.tile(axis, n * n)
 
 
 class _GridScorer:
@@ -264,7 +244,7 @@ def _labels_by_wake(
     triggers: Iterable[LabeledTrigger],
     wake_map: Mapping[str, WakeWordSpec] | None = None,
 ) -> dict[str, list[str]]:
-    """wake id -> normalized trigger labels, in first-appearance order.
+    """wake id -> trigger labels, in first-appearance order.
 
     With ``wake_map``, a trigger whose wake id is not in it raises
     :class:`UnknownWakeWord`.
@@ -273,7 +253,7 @@ def _labels_by_wake(
     for trigger in triggers:
         if wake_map is not None and trigger.wake_id not in wake_map:
             raise UnknownWakeWord(f"no wake word configured for id {trigger.wake_id!r}")
-        by_wake.setdefault(trigger.wake_id, []).append(normalize_label(trigger.trigger_label))
+        by_wake.setdefault(trigger.wake_id, []).append(trigger.trigger_label)
     return by_wake
 
 
@@ -378,8 +358,8 @@ def grid_search(
         objective += worst
 
     best_idx = int(np.argmin(objective))  # first occurrence = lexicographic tie-break
-    s_arr, d_arr, i_arr = _grid_arrays(grid)
-    best = ScaleFactors(float(s_arr[best_idx]), float(d_arr[best_idx]), float(i_arr[best_idx]))
+    axis = grid.axis_values()
+    best = ScaleFactors(*(axis[i] for i in np.unravel_index(best_idx, (len(axis),) * 3)))
     return TuningResult(
         best=best,
         objective=int(objective[best_idx]),
@@ -398,12 +378,11 @@ def best_achievable_rank(
     blocklist: Iterable[str] = (),
 ) -> int:
     """The best rank ``trigger`` reaches at any point of ``grid``."""
-    label = normalize_label(trigger.trigger_label)
     ranks = TriggerRanks(
-        [LabeledTrigger(wake.id, label)], vocab, [wake], grid, variant, table,
+        [LabeledTrigger(wake.id, trigger.trigger_label)], vocab, [wake], grid, variant, table,
         blocklists={wake.id: blocklist},
     )
-    return int(ranks.of(wake.id)[label].min())
+    return int(ranks.of(wake.id)[trigger.trigger_label].min())
 
 
 def filter_triggers(
@@ -428,11 +407,7 @@ def filter_triggers(
         vectors = ranks.of(wake_id)
         for lbl in labels:
             best[(wake_id, lbl)] = int(vectors[lbl].min())
-    kept = [
-        t
-        for t in triggers
-        if best[(t.wake_id, normalize_label(t.trigger_label))] <= threshold
-    ]
+    kept = [t for t in triggers if best[(t.wake_id, t.trigger_label)] <= threshold]
     if len(kept) < len(triggers):
         log.info(
             "trigger filter kept %d of %d triggers (threshold %s)",
@@ -496,7 +471,7 @@ def cross_validate(
             blocklist=blocklists.get(wake_id, ()),
         )
         top = {normalize_label(item.candidate.label) for item in ranked.items}
-        hits[wake_id] = sum(1 for t in held_out if normalize_label(t.trigger_label) in top)
+        hits[wake_id] = sum(1 for t in held_out if t.trigger_label in top)
     return hits
 
 

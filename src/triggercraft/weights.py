@@ -36,6 +36,7 @@ from .errors import (
     ZeroMean,
 )
 from .lexicon import PronouncingDictionary, WakeWordSpec
+from .readers import tsv_rows
 
 __all__ = [
     "ProbePlan",
@@ -154,21 +155,7 @@ def load_probe_scores(lines: Iterable[str]) -> list[ProbeScore]:
     """
     scores = []
     first_line: dict[tuple, int] = {}
-    lineiter = enumerate(lines, 1)
-    for lineno, raw in lineiter:
-        header = raw.rstrip("\n")
-        if not header.strip():
-            continue
-        if header.split("\t") != _SCORE_HEADER:
-            raise ParseError(f"bad probe-score header {header!r}", lineno)
-        break
-    else:
-        raise ParseError("empty probe-score file")
-    for lineno, raw in lineiter:
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
+    for lineno, parts in tsv_rows(lines, _SCORE_HEADER, "probe-score"):
         if len(parts) != 6:
             raise ParseError(f"expected 6 tab-separated fields, got {len(parts)}", lineno)
         phone, edit, target, word, voice, delta = parts

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ from .lexicon import (
     load_dictionary,
     phrase_phones,
 )
+from .readers import finite_number, string, whole_number
 from .tuning import (
     Grid,
     TriggerRanks,
@@ -90,7 +92,6 @@ GRID_PRESETS = {
 class WorkbenchConfig:
     """Parsed workbench configuration plus lazily loaded resources."""
 
-    base_dir: Path
     dictionary_path: Path
     wake_words_path: Path
     weight_table_path: Path | None
@@ -103,10 +104,11 @@ class WorkbenchConfig:
     media_lengths: dict[str, float] = field(default_factory=dict)
     inventory_path: Path | None = None
 
-    _dictionary: PronouncingDictionary | None = None
-    _wake_words: list[WakeWordSpec] | None = None
-    _weight_table: WeightTable | None = None
-    _vocabulary: Vocabulary | None = None
+    # Loaded on first use; caches, not settings.
+    _dictionary: PronouncingDictionary | None = field(default=None, init=False, repr=False)
+    _wake_words: list[WakeWordSpec] | None = field(default=None, init=False, repr=False)
+    _weight_table: WeightTable | None = field(default=None, init=False, repr=False)
+    _vocabulary: Vocabulary | None = field(default=None, init=False, repr=False)
 
     def dictionary(self) -> PronouncingDictionary:
         if self._dictionary is None:
@@ -138,18 +140,11 @@ class WorkbenchConfig:
                 raise ConfigError(f"cannot read wake words: {exc}") from None
             except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
                 raise ConfigError(f"bad wake-word file: {exc}") from None
-            specs = []
+            if not isinstance(raw, list):
+                raise ConfigError("wake-word file must hold a JSON list of entries")
             try:
-                for entry in raw:
-                    specs.append(
-                        WakeWordSpec(
-                            id=entry["id"],
-                            text=entry["text"],
-                            phones=tuple(entry["phones"]),
-                            explicit_blocklist=tuple(entry.get("blocklist", ())),
-                        )
-                    )
-            except (KeyError, TypeError, ValueError) as exc:
+                specs = [_wake_word(entry) for entry in raw]
+            except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad wake-word entry: {exc!r}") from None
             if not specs:
                 raise ConfigError("wake-word file lists no wake words")
@@ -183,9 +178,29 @@ class WorkbenchConfig:
         return CostModel.advanced(self.scales, self.weight_table())
 
 
+def _strings(value, key: str) -> tuple[str, ...]:
+    """A JSON list of strings; nothing else."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _wake_word(entry) -> WakeWordSpec:
+    """A wake-word entry: string ``id`` and ``text``, a non-empty list of
+    string ``phones``, and an optional list of string ``blocklist`` labels."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"expected a JSON object, got {entry!r}")
+    return WakeWordSpec(
+        id=string(entry["id"], "id"),
+        text=string(entry["text"], "text"),
+        phones=_strings(entry["phones"], "phones"),
+        explicit_blocklist=_strings(entry.get("blocklist", []), "blocklist"),
+    )
+
+
 def _parse_scales(raw) -> ScaleFactors:
     try:
-        return ScaleFactors(float(raw["s"]), float(raw["d"]), float(raw["i"]))
+        return ScaleFactors(*(finite_number(raw[key], key) for key in ("s", "d", "i")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'scales' entry: {exc!r}") from None
 
@@ -199,8 +214,10 @@ def _parse_grid(raw) -> Grid:
             raise ConfigError(f"unknown grid preset {raw!r}; known: {sorted(GRID_PRESETS)}")
         return preset()
     try:
-        grid = Grid.uniform(float(raw["lo"]), float(raw["hi"]), float(raw["step"]))
-        grid.point_count()  # checks every axis and the size cap, allocating nothing
+        # Floats, NaN and inf among them, are left to the grid's own checks.
+        grid = Grid(*(raw[key] if type(raw[key]) is float else finite_number(raw[key], key)
+                      for key in ("lo", "hi", "step")))
+        grid.point_count()  # checks the axis and the size cap, allocating nothing
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'grid' entry: {exc!r}") from None
     return grid
@@ -210,9 +227,30 @@ def _parse_voices(raw) -> tuple[Voice, ...]:
     if raw is None:
         return DEFAULT_VOICES
     try:
-        return tuple(Voice(v["id"], v["kind"], v["gender"]) for v in raw)
-    except (KeyError, TypeError) as exc:
+        return tuple(Voice(string(v["id"], "id"), string(v["kind"], "kind"),
+                           string(v["gender"], "gender")) for v in raw)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad 'voices' entry: {exc!r}") from None
+
+
+def _parse_media_lengths(raw) -> dict[str, float]:
+    lengths = {}
+    try:
+        for media_id, value in raw.items():
+            # Lengths that are exact floats pass inline (NaN fails ``0 < x``);
+            # anything else goes to the checking helper.
+            if not (type(value) is float and 0 < value < math.inf):
+                value = finite_number(value, f"length of {media_id!r}")
+                if value <= 0:
+                    raise ValueError(f"length of {media_id!r} must be > 0, got {value!r}")
+            lengths[media_id] = value
+    except (AttributeError, ValueError) as exc:
+        raise ConfigError(f"bad 'media_lengths' entry: {exc!r}") from None
+    return lengths
+
+
+# Config entries that name a file or directory, relative to the config.
+_PATH_KEYS = ("dictionary", "wake_words", "weight_table", "inventory", "out_dir")
 
 
 def load_config(path: str | Path) -> WorkbenchConfig:
@@ -223,33 +261,30 @@ def load_config(path: str | Path) -> WorkbenchConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    raw = {key: value for key, value in raw.items() if value is not None}  # null means absent
     base = path.parent
+    try:
+        paths = {key: base / string(raw[key], key) for key in _PATH_KEYS if key in raw}
+        top_k = whole_number(raw.get("top_k", 100), "top_k")
+        seed = whole_number(raw.get("seed", 0), "seed")
+    except ValueError as exc:
+        raise ConfigError(f"bad config entry: {exc}") from None
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
     def resolve(key: str, required: bool = True) -> Path | None:
-        value = raw.get(key)
-        if value is None:
+        resolved = paths.get(key)
+        if resolved is None:
             if required:
                 raise ConfigError(f"config is missing {key!r}")
             return None
-        resolved = base / value
         if not resolved.exists():
             raise ConfigError(f"{key} file does not exist: {resolved}")
         return resolved
 
-    try:
-        top_k = int(raw.get("top_k", 100))
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad numeric config entry: {exc!r}") from None
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
-    media_lengths = raw.get("media_lengths") or {}
-    try:
-        media_lengths = {str(k): float(v) for k, v in media_lengths.items()}
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"bad 'media_lengths' entry: {exc!r}") from None
     return WorkbenchConfig(
-        base_dir=base,
         dictionary_path=resolve("dictionary"),
         wake_words_path=resolve("wake_words"),
         weight_table_path=resolve("weight_table", required=False),
@@ -258,9 +293,9 @@ def load_config(path: str | Path) -> WorkbenchConfig:
         grid=_parse_grid(raw.get("grid")),
         top_k=top_k,
         seed=seed,
-        out_dir=base / raw.get("out_dir", "out"),
+        out_dir=paths.get("out_dir") or base / "out",
         voices=_parse_voices(raw.get("voices")),
-        media_lengths=media_lengths,
+        media_lengths=_parse_media_lengths(raw.get("media_lengths", {})),
     )
 
 
@@ -376,7 +411,7 @@ def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     known = set(vocab.normalized_labels)
     extra = []
     for trigger in triggers:
-        label = cand_mod.normalize_label(trigger.trigger_label)
+        label = trigger.trigger_label
         if label not in known:
             known.add(label)
             extra.append(

@@ -175,7 +175,7 @@ def test_grid_search_agrees_with_brute_force(report, fixtures_dir, mini_dictiona
             )
         )
         blocklists = {w.id: build_blocklist(w, mini_dictionary) for w in wake_words}
-        grid = Grid.uniform(0.25, 1.25, 0.25)
+        grid = Grid(0.25, 1.25, 0.25)
 
         start = time.perf_counter()
         result = grid_search(
@@ -199,7 +199,7 @@ def test_grid_search_agrees_with_brute_force(report, fixtures_dir, mini_dictiona
             [LabeledTrigger("W", "only")],
             [Candidate(label="only", prons=(("B", "IY"),))],
             [wake],
-            Grid.uniform(0.0, 1.0, 0.5),
+            Grid(0.0, 1.0, 0.5),
         )
         assert flat.best == ScaleFactors(0.0, 0.0, 0.0)
 
@@ -262,7 +262,7 @@ def test_cross_validation_recovers_planted_triggers(report):
             "WC": [],
         }
         hits = cross_validate(
-            folds, vocab, wakes, Grid.uniform(0.5, 1.0, 0.5), variant="simple", k=100
+            folds, vocab, wakes, Grid(0.5, 1.0, 0.5), variant="simple", k=100
         )
         assert hits == {"WA": 2, "WB": 1, "WC": 0}
         assert len(hits) == 3

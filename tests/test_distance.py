@@ -448,6 +448,18 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ScaleFactors(s=bad)
 
+    @pytest.mark.parametrize("section", ["deletion", "insertion", "substitution"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
+    def test_advanced_rejects_weights_it_cannot_price(self, section, bad):
+        # Built, such a model made align raise IndexError (inf) and rank
+        # draw its tie from NaN costs.
+        weights = {"deletion": {"AA": 1.0}, "insertion": {"B": 1.0},
+                   "substitution": {("AA", "B"): 1.0}}
+        key = next(iter(weights[section]))
+        weights[section][key] = bad
+        with pytest.raises(ValueError, match=f"{section} weight"):
+            CostModel.advanced(ScaleFactors(1, 0, 1), WeightTable(**weights))
+
 
 class TestWeightTableValidation:
     def test_fixture_table_is_valid(self, weight_table):

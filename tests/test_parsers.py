@@ -13,13 +13,14 @@ import logging
 import math
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_join, reference_log
-from triggercraft.errors import TriggerCraftError
+from triggercraft.errors import ConfigError, TriggerCraftError
 from triggercraft.harness import (
     MAX_REPLAYS,
     ActivationObservation,
@@ -39,7 +40,7 @@ from triggercraft.lexicon import (
     PronouncingDictionary,
     load_dictionary,
 )
-from triggercraft.tuning import load_trigger_labels
+from triggercraft.tuning import MAX_GRID_POINTS, load_trigger_labels
 from triggercraft.weights import (
     ProbeScore,
     build_weight_table,
@@ -47,6 +48,7 @@ from triggercraft.weights import (
     load_weight_table,
     store_weight_table,
 )
+from triggercraft.workbench import load_config
 
 LOG_PARSERS = [parse_event_log, parse_verification_log, parse_adjudication_log]
 ALL_PARSERS = LOG_PARSERS + [load_trigger_labels, load_dictionary]
@@ -349,3 +351,66 @@ def test_built_weight_tables_round_trip_bit_for_bit(scores):
     loaded = load_weight_table(io.StringIO(stream.getvalue()))
     assert weight_bits(loaded) == weight_bits(table)
     assert loaded.row_phones == table.row_phones
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# A valid value for each config entry, with the edge cases the contract
+# names: integral floats for counts, ints for scales, the grid presets.
+CONFIG_VALUES = {
+    "dictionary": st.sampled_from([str(FIXTURES / "mini_dict.txt"), "", "nope.txt"]),
+    "out_dir": st.text(max_size=8),
+    "top_k": st.integers(1, 500) | st.sampled_from([3.0, 2.9, 0]),
+    "seed": st.integers() | st.sampled_from([7.0, 1.5]),
+    "scales": st.fixed_dictionaries(
+        {axis: st.floats(0, 2) | st.integers(0, 3) | st.sampled_from(AWKWARD) for axis in "sdi"}),
+    "grid": st.sampled_from(["default", "extended", "huge"]) | st.fixed_dictionaries(
+        {"lo": st.sampled_from([0, 0.25, *AWKWARD]), "hi": st.sampled_from([0.5, 1, *AWKWARD]),
+         "step": st.sampled_from([0.25, 0.5, 1e-9, *AWKWARD])}),
+    "voices": st.lists(st.fixed_dictionaries(
+        {"id": st.text(max_size=3) | st.sampled_from(AWKWARD),
+         "kind": st.sampled_from(["standard", "wavenet", 1]), "gender": st.sampled_from("fm")}),
+        max_size=10),
+    "media_lengths": st.dictionaries(
+        st.text(max_size=4), st.floats(-1, 1e4) | st.integers(-1, 9) | st.sampled_from(AWKWARD),
+        max_size=3),
+}
+
+
+@pytest.mark.parametrize("key", CONFIG_VALUES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_values_are_read_strictly(tmp_path_factory, key, data):
+    raw = {"dictionary": str(FIXTURES / "mini_dict.txt"),
+           "wake_words": str(FIXTURES / "wake_words.json"),
+           key: data.draw(CONFIG_VALUES[key] | any_json | st.sampled_from(AWKWARD))}
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    assert type(config.top_k) is int and config.top_k >= 1
+    assert type(config.seed) is int
+    scales = (config.scales.s, config.scales.d, config.scales.i)
+    assert all(type(v) is float and math.isfinite(v) and v >= 0 for v in scales)
+    assert config.grid.point_count() <= MAX_GRID_POINTS
+    assert all(type(v) is float and math.isfinite(v) and v > 0
+               for v in config.media_lengths.values())
+    assert all(type(field) is str for voice in config.voices
+               for field in (voice.id, voice.kind, voice.gender))
+    assert config.dictionary_path.exists() and isinstance(config.out_dir, Path)
+    # Nothing is coerced: a number reads back equal to what was written,
+    # and no boolean stands in for one.  Null is the same as no entry.
+    written = raw[key]
+    read_back = {
+        "top_k": config.top_k,
+        "seed": config.seed,
+        "scales": dict(zip("sdi", scales)),
+        "grid": {"lo": config.grid.lo, "hi": config.grid.hi, "step": config.grid.step},
+        "media_lengths": config.media_lengths,
+    }
+    if key in read_back and not isinstance(written, (str, type(None))):
+        assert read_back[key] == written
+        values = written.values() if isinstance(written, dict) else [written]
+        assert not any(isinstance(v, bool) for v in values)

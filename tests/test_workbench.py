@@ -32,6 +32,30 @@ def config_path(fixtures_dir):
 # 4,300-digit conversion limit, and nesting past the recursion limit.
 UNDECODABLE = {"long-integer": '{"seed": ' + "1" * 5000 + "}", "deep-nesting": "[" * 100_000}
 
+# Config values of the wrong type or range, as JSON text: (key, value).
+BAD_CONFIG_VALUES = {
+    "zero-media-length": ("media_lengths", '{"show_a_e01": 0}'),
+    "nan-media-length": ("media_lengths", '{"show_a_e01": NaN}'),
+    "overflowing-media-length": ("media_lengths", '{"show_a_e01": 1e999}'),
+    "fractional-top-k": ("top_k", "2.9"),
+    "boolean-top-k": ("top_k", "true"),
+    "fractional-seed": ("seed", "1.5"),
+    "string-scale": ("scales", '{"s": "1", "d": 1, "i": 1}'),
+    "boolean-scale": ("scales", '{"s": 1, "d": true, "i": 1}'),
+    "string-grid-value": ("grid", '{"lo": "0", "hi": 1, "step": 0.5}'),
+    "boolean-grid-value": ("grid", '{"lo": 0, "hi": true, "step": 0.5}'),
+    "numeric-path": ("dictionary", "5"),
+}
+
+# Wake-word entry fields of the wrong type, over a valid entry for VA1.
+BAD_WAKE_ENTRIES = {
+    "phones-string": {"phones": "AH L EH K S AH"},
+    "blocklist-string": {"blocklist": "echo"},
+    "phone-not-a-string": {"phones": ["AH", 1]},
+    "id-not-a-string": {"id": 5},
+    "text-not-a-string": {"text": ["Alexa"]},
+}
+
 
 def write_config(tmp_path, fixtures_dir, **overrides):
     """Write a config into tmp_path with absolute fixture paths."""
@@ -132,7 +156,7 @@ class TestLoadConfig:
     # both caught before any axis is listed.
     @pytest.mark.parametrize("step", [1e-9, 0.01], ids=["long-axis", "many-points"])
     def test_grid_over_cap_rejected_without_listing(self, tmp_path, fixtures_dir, monkeypatch, step):
-        def listed(self, axis):
+        def listed(self):
             raise AssertionError("grid values were listed")
 
         monkeypatch.setattr(Grid, "axis_values", listed)
@@ -203,6 +227,51 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bad wake-word file"):
             load_config(path).wake_words()
         assert main(["--config", str(path), "blocklist", "--wake", "VA1"]) == 1
+
+    @pytest.mark.parametrize("key,value", BAD_CONFIG_VALUES.values(), ids=BAD_CONFIG_VALUES)
+    def test_bad_value_is_a_config_error(self, tmp_path, fixtures_dir, key, value):
+        raw = json.loads((fixtures_dir / "config.json").read_text(encoding="utf-8"))
+        for name in ("dictionary", "wake_words", "weight_table"):
+            raw[name] = str(fixtures_dir / raw[name])
+        del raw[key]
+        # Spliced in as text: NaN and 1e999 are JSON the decoder accepts.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw)[:-1] + f', "{key}": {value}}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        harness = ["harness"] + [
+            arg for kind in ("events", "verification", "adjudication")
+            for arg in (f"--{kind}", str(fixtures_dir / f"{kind}.jsonl"))
+        ]
+        assert main(["--config", str(path), "--out", str(tmp_path), *harness]) == 1
+
+    def test_config_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('["dictionary", "wake_words"]', encoding="utf-8")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(path)
+        assert main(["--config", str(path), "blocklist", "--wake", "VA1"]) == 1
+
+    @pytest.mark.parametrize("fields", BAD_WAKE_ENTRIES.values(), ids=BAD_WAKE_ENTRIES)
+    def test_wake_word_entries_are_strict(self, tmp_path, fixtures_dir, fields):
+        entry = {"id": "VA1", "text": "Alexa", "phones": ["AH", "L", "EH", "K", "S", "AH"],
+                 "blocklist": [], **fields}
+        wake = tmp_path / "wake.json"
+        wake.write_text(json.dumps([entry]), encoding="utf-8")
+        path = write_config(tmp_path, fixtures_dir, wake_words=str(wake))
+        with pytest.raises(ConfigError, match="bad wake-word entry"):
+            load_config(path).wake_words()
+        argv = ["--config", str(path), "--out", str(tmp_path), "rank", "--wake", "VA1",
+                "--model", "unweighted"]
+        assert main(argv) == 1
+
+    def test_repr_leaves_out_loaded_resources(self, config_path):
+        config = load_config(config_path)
+        before = repr(config)
+        config.vocabulary()
+        config.wake_words()
+        config.weight_table()
+        assert repr(config) == before
 
 
 class TestExitCodes:
