@@ -21,7 +21,13 @@ import numpy as np
 
 from .distance import CostContext, CostModel, DistanceBreakdown, PhoneCodes, distance_to_wakeword
 from .errors import ConfigError, EmptyVocabulary, OutOfVocabulary
-from .lexicon import PhoneSeq, PronouncingDictionary, WakeWordSpec, phrase_phones
+from .lexicon import (
+    DictionaryColumns,
+    PhoneSeq,
+    PronouncingDictionary,
+    WakeWordSpec,
+    phrase_phones,
+)
 
 __all__ = [
     "Candidate",
@@ -69,15 +75,27 @@ class Vocabulary(Sequence):
 
     The normalized labels and the :class:`~triggercraft.distance.PhoneCodes`
     of the candidates are computed on first use and kept, so every wake
-    word and model ranked against one vocabulary reuses them.
+    word and model ranked against one vocabulary reuses them.  A
+    vocabulary :meth:`from_dictionary` reads both from the dictionary's
+    columns and builds each :class:`Candidate` when it is first accessed,
+    then keeps it, so a ranking builds only those it lists or draws from.
     """
 
-    __slots__ = ("_items", "_labels", "_codes")
+    __slots__ = ("_items", "_columns", "_labels", "_codes")
 
     def __init__(self, candidates: Iterable[Candidate]):
-        self._items = tuple(candidates)
+        self._items = list(candidates)
+        self._columns: DictionaryColumns | None = None
         self._labels: tuple[str, ...] | None = None
         self._codes: PhoneCodes | None = None
+
+    @classmethod
+    def from_dictionary(cls, dictionary: PronouncingDictionary) -> "Vocabulary":
+        """One candidate per dictionary word, labelled in lower case, with all its variants."""
+        vocab = cls(())
+        vocab._columns = dictionary.columns
+        vocab._items = [None] * len(vocab._columns.words)
+        return vocab
 
     @classmethod
     def of(cls, vocab: Iterable[Candidate]) -> "Vocabulary":
@@ -88,19 +106,31 @@ class Vocabulary(Sequence):
         return len(self._items)
 
     def __getitem__(self, index):
-        return self._items[index]
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        item = self._items[index]
+        if item is None:
+            word_id = range(len(self))[index]
+            item = self._items[index] = Candidate(
+                self._columns.words[word_id].lower(), self._columns.phones(word_id)
+            )
+        return item
 
     def __iter__(self):
-        return iter(self._items)
+        return map(self.__getitem__, range(len(self)))
 
     @property
     def normalized_labels(self) -> tuple[str, ...]:
         """Each candidate's :func:`normalize_label`, in candidate order."""
         if self._labels is None:
+            if self._columns is None:
+                labels = [c.label for c in self._items]
+            else:
+                labels = [word.lower() for word in self._columns.words]
             # Most labels are normalized already; keep one string for those.
             self._labels = tuple(
                 label if norm == label else norm
-                for label, norm in ((c.label, normalize_label(c.label)) for c in self._items)
+                for label, norm in ((label, normalize_label(label)) for label in labels)
             )
         return self._labels
 
@@ -108,20 +138,19 @@ class Vocabulary(Sequence):
     def codes(self) -> PhoneCodes:
         """The candidates' pronunciations, encoded for :meth:`CostContext.score`."""
         if self._codes is None:
-            self._codes = PhoneCodes([c.prons for c in self._items])
+            columns = self._columns
+            if columns is None:
+                self._codes = PhoneCodes([c.prons for c in self._items])
+            else:
+                self._codes = PhoneCodes.from_columns(
+                    columns.symbols, np.diff(columns.first), columns.lengths, columns.codes
+                )
         return self._codes
 
 
 def dictionary_candidates(dictionary: PronouncingDictionary) -> list[Candidate]:
     """One candidate per dictionary word, with all its variants."""
-    return [
-        Candidate(
-            label=word.lower(),
-            prons=tuple(v.phones for v in variants),
-            source="dictionary",
-        )
-        for word, variants in dictionary.items()
-    ]
+    return list(Vocabulary.from_dictionary(dictionary))
 
 
 def blocked_labels(wake: WakeWordSpec, extra: Iterable[str] = ()) -> set[str]:
@@ -138,14 +167,29 @@ def build_blocklist(
     The wake word's own text and its explicitly configured labels are
     always blocked, plus every dictionary word with a pronunciation that is
     a contiguous run of the wake word's phones (such words are the wake
-    word, or a piece of it, by sound).
+    word, or a piece of it, by sound).  The pieces of each length m are
+    encoded and compared with the codes of the length-m pronunciations; a
+    piece holding a phone the dictionary never uses matches nothing.
     """
     blocked = blocked_labels(wake)
-    phones = wake.phones
-    pieces = {phones[i:j] for i in range(len(phones)) for j in range(i + 1, len(phones) + 1)}
-    for word, variants in dictionary.items():
-        if any(variant.phones in pieces for variant in variants):
-            blocked.add(normalize_label(word))
+    columns = dictionary.columns
+    code_of = {symbol: code for code, symbol in enumerate(columns.symbols)}
+    wake_codes = [code_of.get(p) for p in wake.phones]
+    n = len(wake_codes)
+    hit = np.zeros(len(columns.lengths), dtype=bool)
+    for m in range(1, n + 1):
+        pieces = {tuple(wake_codes[i : i + m]) for i in range(n - m + 1)}
+        pieces = [piece for piece in pieces if None not in piece]
+        rows = np.flatnonzero(columns.lengths == m)
+        if not pieces or not len(rows):
+            continue
+        starts = columns.starts[rows]
+        phones = [columns.codes[starts + j] for j in range(m)]  # j-th phone of each row
+        for piece in pieces:
+            match = np.logical_and.reduce([column == code for column, code in zip(phones, piece)])
+            hit[rows[match]] = True
+    for word_id in set(columns.word_ids[hit].tolist()):
+        blocked.add(normalize_label(columns.words[word_id]))
     return blocked
 
 

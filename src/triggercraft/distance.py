@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyWakeWord, NoPronunciation
-from .lexicon import PhoneSeq, WakeWordSpec
+from .lexicon import PhoneIndex, PhoneSeq, WakeWordSpec
 
 __all__ = [
     "CostContext",
@@ -367,12 +367,25 @@ class PhoneCodes:
             raise NoPronunciation("candidate has no pronunciations")
         prons = list(itertools.chain.from_iterable(prons_per_candidate))
         lengths = np.fromiter(map(len, prons), dtype=np.intp, count=len(prons))
-        index = _PhoneIndex()
+        index = PhoneIndex()
         codes = np.fromiter(
             map(index.__getitem__, itertools.chain.from_iterable(prons)),
             dtype=np.intp, count=int(lengths.sum()),
         )
-        dtype = np.min_scalar_type(max(len(index) - 1, 0))
+        self._group(tuple(index), counts, lengths, codes)
+
+    @classmethod
+    def from_columns(cls, phones: Sequence[str], counts: np.ndarray, lengths: np.ndarray,
+                     codes: np.ndarray) -> "PhoneCodes":
+        """Encoded from columns: each candidate's variant count, each
+        pronunciation's length, and every phone, flat, as an index into
+        ``phones``, which must list the phones in order of first use."""
+        self = cls.__new__(cls)
+        self._group(tuple(phones), counts, lengths, codes)
+        return self
+
+    def _group(self, phones, counts, lengths, codes) -> None:
+        dtype = np.min_scalar_type(max(len(phones) - 1, 0))
         starts = np.cumsum(lengths) - lengths
         order = np.argsort(lengths, kind="stable")
         sizes = np.bincount(lengths)
@@ -383,16 +396,8 @@ class PhoneCodes:
             end += sizes[m]
             block = codes[starts[positions] + np.arange(m)[:, None]].astype(dtype)
             self.groups.append((positions, block))
-        self.phones = tuple(index)
+        self.phones = phones
         self.counts = counts
-
-
-class _PhoneIndex(dict):
-    """Phone symbol -> small integer code, assigned in order of first use."""
-
-    def __missing__(self, phone: str) -> int:
-        code = self[phone] = len(self)
-        return code
 
 
 def align(wake: PhoneSeq, cand: PhoneSeq, model: CostModel) -> DistanceBreakdown:

@@ -8,18 +8,28 @@ Dictionary files follow the common pronouncing-dictionary layout::
     ALEXA  AH0 L EH1 K S AH0
     TOMATO  T AH0 M EY1 T OW2
     TOMATO(2)  T AH0 M AA1 T OW2
+
+A loaded dictionary is columns (:class:`DictionaryColumns`): the words in
+file order, and per pronunciation its word index, variant index and
+length, with every phone in one flat array of small integer codes.
+Parsing fills the columns straight from the split lines; the
+:class:`Pronunciation` objects and phone tuples of a word are built only
+when something asks for that word.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, ItemsView
+
+import numpy as np
 
 from .errors import OutOfVocabulary, ParseError, UnknownPhone
 
 __all__ = [
+    "DictionaryColumns",
     "Phone",
     "PhoneInventory",
     "Pronunciation",
@@ -159,67 +169,184 @@ class Pronunciation:
             raise ValueError("variant_index is 1-based")
 
 
-@dataclass
-class PronouncingDictionary:
-    """Maps normalized words to their pronunciation variants."""
+class PhoneIndex(dict):
+    """Phone symbol -> small integer code, assigned in order of first use."""
 
-    inventory: PhoneInventory = field(default_factory=PhoneInventory.default)
-    _entries: dict[str, list[Pronunciation]] = field(default_factory=dict)
+    def __missing__(self, phone: str) -> int:
+        code = self[phone] = len(self)
+        return code
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Start offsets of consecutive runs of ``sizes``, plus the total at the end."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+class DictionaryColumns:
+    """A dictionary's entries as columns; never changed once built.
+
+    ``words`` lists the headwords in file order and ``ids`` maps each to
+    its index.  The pronunciations are rows, grouped by word in word order
+    and by variant index within a word:
+
+    * ``word_ids`` -- the row's word index;
+    * ``variants`` -- its 1-based variant index, a Python int, since an
+      index need not fit in 64 bits;
+    * ``lengths`` -- its phone count;
+    * ``codes`` -- every row's phones, flat and in row order, each an
+      index into ``symbols`` in the smallest unsigned type that holds it.
+      ``symbols`` lists the phones in order of first use along the rows.
+
+    ``first[w]:first[w + 1]`` are word w's rows and ``starts[r]:starts[r + 1]``
+    row r's codes.  A word's phone tuples are decoded on first use and kept.
+    """
+
+    __slots__ = ("words", "ids", "symbols", "word_ids", "variants", "lengths", "codes",
+                 "first", "starts", "_phones")
+
+    def __init__(self, words: list[str], ids: dict[str, int], symbols: Iterable[str],
+                 word_ids, variants: list[int], lengths, codes):
+        self.words = words
+        self.ids = ids
+        self.symbols = tuple(symbols)
+        self.word_ids = np.asarray(word_ids, dtype=np.intp)
+        self.variants = variants
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        self.codes = np.asarray(codes, dtype=np.min_scalar_type(max(len(self.symbols) - 1, 0)))
+        self.first = _offsets(np.bincount(self.word_ids, minlength=len(words)))
+        self.starts = _offsets(self.lengths)
+        self._phones: dict[int, tuple[PhoneSeq, ...]] = {}
+
+    @classmethod
+    def from_rows(cls, words: list[str], ids: dict[str, int],
+                  rows: Iterable[tuple[int, int, PhoneSeq]]) -> "DictionaryColumns":
+        """Columns of ``(word id, variant, phones)`` rows listed in any order."""
+        rows = sorted(rows, key=lambda row: row[:2])
+        symbols = PhoneIndex()
+        codes = [symbols[p] for _, _, phones in rows for p in phones]
+        return cls(words, ids, symbols, [row[0] for row in rows], [row[1] for row in rows],
+                   [len(row[2]) for row in rows], codes)
+
+    def variants_of(self, word_id: int) -> list[int]:
+        """The variant indices of word ``word_id``, in order."""
+        return self.variants[self.first[word_id] : self.first[word_id + 1]]
+
+    def phones(self, word_id: int) -> tuple[PhoneSeq, ...]:
+        """The phones of each variant of word ``word_id``, in variant order."""
+        decoded = self._phones.get(word_id)
+        if decoded is None:
+            starts = self.starts[self.first[word_id] : self.first[word_id + 1] + 1].tolist()
+            base = starts[0]
+            symbols = [self.symbols[c] for c in self.codes[base : starts[-1]].tolist()]
+            decoded = self._phones[word_id] = tuple(
+                tuple(symbols[a - base : b - base]) for a, b in zip(starts, starts[1:])
+            )
+        return decoded
+
+    def rows(self) -> Iterator[tuple[int, int, PhoneSeq]]:
+        """``(word id, variant, phones)`` of every row, in row order."""
+        for word_id in range(len(self.words)):
+            for variant, phones in zip(self.variants_of(word_id), self.phones(word_id)):
+                yield word_id, variant, phones
+
+
+class PronouncingDictionary:
+    """Maps normalized words to their pronunciation variants.
+
+    The entries live in :class:`DictionaryColumns` (``columns``): a few
+    arrays, not one object per pronunciation.  :meth:`lookup`,
+    :meth:`items` and :meth:`dump` build :class:`Pronunciation` objects on
+    demand; :meth:`variant_phones` returns plain phone tuples.  :meth:`add`
+    replaces the columns, so columns read before it stay as they were.
+    """
+
+    def __init__(self, inventory: PhoneInventory | None = None):
+        self.inventory = PhoneInventory.default() if inventory is None else inventory
+        self.columns = DictionaryColumns([], {}, (), [], [], [], [])
 
     def add(self, pron: Pronunciation) -> None:
-        variants = self._entries.setdefault(pron.word, [])
-        if any(v.variant_index == pron.variant_index for v in variants):
-            raise ParseError(
-                f"duplicate variant {pron.variant_index} for {pron.word!r}"
-            )
-        variants.append(pron)
-        variants.sort(key=lambda v: v.variant_index)
+        """Add one variant, in variant order among its word's others.
+
+        Each call rebuilds the columns; :func:`load_dictionary` builds a
+        large dictionary in one pass.
+        """
+        cols = self.columns
+        words, ids = cols.words, cols.ids
+        word_id = ids.get(pron.word)
+        if word_id is None:
+            word_id, words, ids = len(words), [*words, pron.word], {**ids, pron.word: len(words)}
+        elif pron.variant_index in cols.variants_of(word_id):
+            raise ParseError(f"duplicate variant {pron.variant_index} for {pron.word!r}")
+        rows = [*cols.rows(), (word_id, pron.variant_index, pron.phones)]
+        self.columns = DictionaryColumns.from_rows(words, ids, rows)
+
+    def _word_id(self, word: str) -> int:
+        word_id = self.columns.ids.get(normalize_word(word))
+        if word_id is None:
+            raise OutOfVocabulary(f"no pronunciation for {word!r}")
+        return word_id
+
+    def _variants(self, word_id: int) -> list[Pronunciation]:
+        cols = self.columns
+        return [
+            Pronunciation(cols.words[word_id], variant, phones)
+            for variant, phones in zip(cols.variants_of(word_id), cols.phones(word_id))
+        ]
 
     def lookup(self, word: str) -> list[Pronunciation]:
         """All variants of ``word`` in variant order.
 
         Raises :class:`OutOfVocabulary` when the word has no entry.
         """
-        variants = self._entries.get(normalize_word(word))
-        if not variants:
-            raise OutOfVocabulary(f"no pronunciation for {word!r}")
-        return list(variants)
+        return self._variants(self._word_id(word))
+
+    def variant_phones(self, word: str) -> tuple[PhoneSeq, ...]:
+        """The phones of each variant of ``word``, in variant order, as :meth:`lookup`."""
+        return self.columns.phones(self._word_id(word))
 
     def __contains__(self, word: str) -> bool:
-        return normalize_word(word) in self._entries
+        return normalize_word(word) in self.columns.ids
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.columns.words)
 
     def words(self) -> Iterator[str]:
-        return iter(self._entries)
+        return iter(self.columns.words)
 
     def items(self) -> ItemsView[str, list[Pronunciation]]:
-        """(normalized word, variants in variant order) pairs; do not mutate."""
-        return self._entries.items()
+        """(normalized word, variants in variant order) pairs, built on each call."""
+        return {w: self._variants(i) for i, w in enumerate(self.columns.words)}.items()
 
     def entry_map(self) -> dict[str, list[PhoneSeq]]:
         """Plain word -> list-of-phone-sequences view (for comparisons)."""
-        return {w: [v.phones for v in vs] for w, vs in self._entries.items()}
+        cols = self.columns
+        return {w: list(cols.phones(i)) for i, w in enumerate(cols.words)}
 
     def dump(self, stream: IO[str]) -> None:
         """Write the dictionary back out in its file format."""
-        for word, variants in self._entries.items():
-            for pron in variants:
-                name = word if pron.variant_index == 1 else f"{word}({pron.variant_index})"
-                stream.write(f"{name}  {' '.join(pron.phones)}\n")
+        cols = self.columns
+        for word_id, variant, phones in cols.rows():
+            word = cols.words[word_id]
+            name = word if variant == 1 else f"{word}({variant})"
+            stream.write(f"{name}  {' '.join(phones)}\n")
 
 
 class _SymbolCache(dict):
-    """Dictionary token -> inventory symbol, each distinct token parsed once."""
+    """Dictionary token -> phone code, each distinct token parsed once.
+
+    ``codes`` numbers the inventory symbols in order of first use.
+    """
 
     def __init__(self, inventory: PhoneInventory):
         super().__init__()
         self.inventory = inventory
+        self.codes = PhoneIndex()
 
-    def __missing__(self, token: str) -> str:
-        symbol = self[token] = parse_phone(token, self.inventory).symbol
-        return symbol
+    def __missing__(self, token: str) -> int:
+        code = self[token] = self.codes[parse_phone(token, self.inventory).symbol]
+        return code
 
 
 def load_dictionary(
@@ -232,37 +359,66 @@ def load_dictionary(
     ``WORD  PH1 PH2 ...`` with an optional ``(n)`` variant suffix on the
     word. Stress digits are stripped from every phone. Malformed lines
     and unknown phones raise with the offending line number.
+
+    The lines go straight into columns, with no object per line.  Rows
+    are sorted into word and variant order only when the file lists some
+    variant out of that order.
     """
     if inventory is None:
         inventory = PhoneInventory.default()
-    dictionary = PronouncingDictionary(inventory=inventory)
     symbols = _SymbolCache(inventory)
+    code_of = symbols.__getitem__
+    words: list[str] = []
+    ids: dict[str, int] = {}
+    word_ids: list[int] = []
+    variants: list[int] = []
+    lengths: list[int] = []
+    codes: list[int] = []
+    pairs = None  # every (word id, variant) so far, once a row came out of order
     for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith(_COMMENT_PREFIX):
+        parts = raw.split()
+        if not parts or parts[0].startswith(_COMMENT_PREFIX):
             continue
-        parts = line.split()
         if len(parts) < 2:
-            raise ParseError(f"expected 'WORD PHONES...', got {line!r}", lineno)
-        name, tokens = parts[0], parts[1:]
-        match = _VARIANT_PATTERN.match(name)
+            raise ParseError(f"expected 'WORD PHONES...', got {raw.strip()!r}", lineno)
+        name = parts[0]
+        match = _VARIANT_PATTERN.match(name) if name[-1] == ")" else None
         if match:
             word = normalize_word(match.group("word"))
             try:
-                variant_index = int(match.group("index"))
+                variant = int(match.group("index"))
             except ValueError:  # more digits than an int may be parsed from
-                variant_index = 0
-            if variant_index < 1:
+                variant = 0
+            if variant < 1:
                 raise ParseError(f"bad variant index in {name!r}", lineno)
         else:
-            word, variant_index = normalize_word(name), 1
+            word, variant = name.upper(), 1  # a token holds no whitespace to strip
         try:
-            phones = tuple(map(symbols.__getitem__, tokens))
-            dictionary.add(Pronunciation(word, variant_index, phones))
+            codes.extend(map(code_of, parts[1:]))
         except UnknownPhone as exc:
             raise UnknownPhone(f"line {lineno}: {exc}") from None
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
+        word_id = ids.setdefault(word, len(words))
+        if word_id == len(words):
+            words.append(word)
+        elif pairs is None and (word_id != word_ids[-1] or variant <= variants[-1]):
+            pairs = set(zip(word_ids, variants))
+        if pairs is not None:
+            if (word_id, variant) in pairs:
+                raise ParseError(f"duplicate variant {variant} for {word!r}", lineno)
+            pairs.add((word_id, variant))
+        word_ids.append(word_id)
+        variants.append(variant)
+        lengths.append(len(parts) - 1)
+    dictionary = PronouncingDictionary(inventory)
+    if pairs is None:
+        dictionary.columns = DictionaryColumns(words, ids, symbols.codes, word_ids, variants,
+                                               lengths, codes)
+    else:  # some variant came out of word and variant order
+        names = tuple(symbols.codes)
+        ends = itertools.accumulate(lengths)
+        phones = [tuple(names[c] for c in codes[end - n : end]) for end, n in zip(ends, lengths)]
+        dictionary.columns = DictionaryColumns.from_rows(words, ids,
+                                                         zip(word_ids, variants, phones))
     return dictionary
 
 
@@ -298,6 +454,6 @@ def phrase_phones(
     """
     if not words:
         raise ValueError("empty phrase")
-    per_word = [dictionary.lookup(w) for w in words]
+    per_word = [dictionary.variant_phones(w) for w in words]
     combos = itertools.islice(itertools.product(*per_word), max_variants)
-    return [tuple(itertools.chain.from_iterable(v.phones for v in combo)) for combo in combos]
+    return [tuple(itertools.chain.from_iterable(combo)) for combo in combos]

@@ -44,18 +44,18 @@ from .candidates import (
     Vocabulary,
     Voice,
     build_blocklist,
-    dictionary_candidates,
     export_manifest,
     extract_ngrams,
     rank_candidates,
 )
 from .distance import CostModel, ScaleFactors, WeightTable
-from .errors import ConfigError, ParseError, TriggerCraftError
+from .errors import ConfigError, ParseError, TriggerCraftError, UnknownPhone
 from .lexicon import (
     PhoneInventory,
     PronouncingDictionary,
     WakeWordSpec,
     load_dictionary,
+    parse_phone,
     phrase_phones,
 )
 from .readers import finite_number, string, whole_number
@@ -105,16 +105,24 @@ class WorkbenchConfig:
     inventory_path: Path | None = None
 
     # Loaded on first use; caches, not settings.
+    _inventory: PhoneInventory | None = field(default=None, init=False, repr=False)
     _dictionary: PronouncingDictionary | None = field(default=None, init=False, repr=False)
     _wake_words: list[WakeWordSpec] | None = field(default=None, init=False, repr=False)
     _weight_table: WeightTable | None = field(default=None, init=False, repr=False)
     _vocabulary: Vocabulary | None = field(default=None, init=False, repr=False)
 
+    def inventory(self) -> PhoneInventory:
+        """The phones the dictionary and the wake words may use."""
+        if self._inventory is None:
+            self._inventory = (
+                PhoneInventory.default() if self.inventory_path is None
+                else _parse_file(self.inventory_path, PhoneInventory.load)
+            )
+        return self._inventory
+
     def dictionary(self) -> PronouncingDictionary:
         if self._dictionary is None:
-            inventory = PhoneInventory.default()
-            if self.inventory_path is not None:
-                inventory = _parse_file(self.inventory_path, PhoneInventory.load)
+            inventory = self.inventory()
             try:
                 self._dictionary = _parse_file(
                     self.dictionary_path, lambda lines: load_dictionary(lines, inventory)
@@ -128,7 +136,7 @@ class WorkbenchConfig:
     def vocabulary(self) -> Vocabulary:
         """The dictionary's words as candidates, encoded once for every ranking."""
         if self._vocabulary is None:
-            self._vocabulary = Vocabulary(dictionary_candidates(self.dictionary()))
+            self._vocabulary = Vocabulary.from_dictionary(self.dictionary())
         return self._vocabulary
 
     def wake_words(self) -> list[WakeWordSpec]:
@@ -142,9 +150,10 @@ class WorkbenchConfig:
                 raise ConfigError(f"bad wake-word file: {exc}") from None
             if not isinstance(raw, list):
                 raise ConfigError("wake-word file must hold a JSON list of entries")
+            inventory = self.inventory()
             try:
-                specs = [_wake_word(entry) for entry in raw]
-            except (KeyError, ValueError) as exc:
+                specs = [_wake_word(entry, inventory) for entry in raw]
+            except (KeyError, ValueError, UnknownPhone) as exc:
                 raise ConfigError(f"bad wake-word entry: {exc!r}") from None
             if not specs:
                 raise ConfigError("wake-word file lists no wake words")
@@ -185,15 +194,18 @@ def _strings(value, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _wake_word(entry) -> WakeWordSpec:
+def _wake_word(entry, inventory: PhoneInventory) -> WakeWordSpec:
     """A wake-word entry: string ``id`` and ``text``, a non-empty list of
-    string ``phones``, and an optional list of string ``blocklist`` labels."""
+    string ``phones``, and an optional list of string ``blocklist`` labels.
+
+    Each phone is read as a dictionary phone is (:func:`parse_phone`).
+    """
     if not isinstance(entry, dict):
         raise ValueError(f"expected a JSON object, got {entry!r}")
     return WakeWordSpec(
         id=string(entry["id"], "id"),
         text=string(entry["text"], "text"),
-        phones=_strings(entry["phones"], "phones"),
+        phones=tuple(parse_phone(p, inventory).symbol for p in _strings(entry["phones"], "phones")),
         explicit_blocklist=_strings(entry.get("blocklist", []), "blocklist"),
     )
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from datetime import datetime
 from functools import lru_cache
 
 import numpy as np
 
+from triggercraft.candidates import Candidate
 from triggercraft.distance import (
     CostModel,
     DistanceBreakdown,
@@ -28,13 +30,14 @@ from triggercraft.distance import (
     ScaleFactors,
     WeightTable,
 )
-from triggercraft.errors import NegativeProgress, ParseError
+from triggercraft.errors import NegativeProgress, ParseError, UnknownPhone
 from triggercraft.harness import (
     ActivationObservation,
     Adjudication,
     TriggerEvent,
     VerificationResult,
 )
+from triggercraft.lexicon import PhoneInventory, Pronunciation, parse_phone
 
 # A compact phone alphabet for randomized tests.  Real inventory symbols,
 # so the same sequences can be round-tripped through dictionary fixtures.
@@ -437,3 +440,72 @@ def reference_join(events, verifications, adjudications):
         joined.append((verification, adjs.pop(0) if adjs else None, observation))
     orphans = sum(len(v) for v in waiting_ver.values()) + sum(len(v) for v in waiting_adj.values())
     return joined, unverified, orphans
+
+
+# ---------------------------------------------------------------------------
+# The pronouncing dictionary as objects: one Pronunciation per line, kept in
+# per-word lists, the way the package stored it before it kept columns.
+
+_VARIANT = re.compile(r"^(?P<word>.+)\((?P<index>\d+)\)$")
+
+
+def reference_load_dictionary(lines, inventory=None) -> dict[str, list[Pronunciation]]:
+    """Word -> its Pronunciations in variant order, words in file order.
+
+    Parses line by line, builds one object per line and adds it to its
+    word's list at once: the errors, their messages and line numbers are
+    those of the first bad line.
+    """
+    if inventory is None:
+        inventory = PhoneInventory.default()
+    entries: dict[str, list[Pronunciation]] = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith(";;;"):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise ParseError(f"expected 'WORD PHONES...', got {line!r}", lineno)
+        name, tokens = parts[0], parts[1:]
+        match = _VARIANT.match(name)
+        if match:
+            word = match.group("word").strip().upper()
+            try:
+                variant_index = int(match.group("index"))
+            except ValueError:  # more digits than an int may be parsed from
+                variant_index = 0
+            if variant_index < 1:
+                raise ParseError(f"bad variant index in {name!r}", lineno)
+        else:
+            word, variant_index = name.strip().upper(), 1
+        try:
+            phones = tuple(parse_phone(token, inventory).symbol for token in tokens)
+        except UnknownPhone as exc:
+            raise UnknownPhone(f"line {lineno}: {exc}") from None
+        variants = entries.setdefault(word, [])
+        if any(v.variant_index == variant_index for v in variants):
+            raise ParseError(f"duplicate variant {variant_index} for {word!r}", lineno)
+        variants.append(Pronunciation(word, variant_index, phones))
+        variants.sort(key=lambda v: v.variant_index)
+    return entries
+
+
+def reference_dictionary_candidates(entries) -> list:
+    """One candidate per word of ``entries`` (word -> Pronunciations), all its variants."""
+    return [Candidate(word.lower(), tuple(v.phones for v in variants))
+            for word, variants in entries.items()]
+
+
+def reference_blocklist(wake, entries) -> set[str]:
+    """The wake word's text and explicit list, plus every word of ``entries``
+    with a variant whose phones are a contiguous run of the wake word's."""
+    def normalize(label):
+        return " ".join(label.lower().split())
+
+    phones = wake.phones
+    pieces = {phones[i:j] for i in range(len(phones)) for j in range(i + 1, len(phones) + 1)}
+    blocked = {normalize(b) for b in (wake.text, *wake.explicit_blocklist)}
+    for word, variants in entries.items():
+        if any(v.phones in pieces for v in variants):
+            blocked.add(normalize(word))
+    return blocked

@@ -1,0 +1,200 @@
+"""The columnar pronouncing dictionary against the object-building reference.
+
+The parser, the dictionary vocabulary and the blocklist each read the
+dictionary's columns; each is checked here against the per-line,
+per-variant objects of ``tests/oracles.py``.
+"""
+
+import io
+import random
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    ALPHABET,
+    random_models,
+    reference_blocklist,
+    reference_dictionary_candidates,
+    reference_load_dictionary,
+)
+from triggercraft import candidates, lexicon
+from triggercraft.candidates import (
+    Candidate,
+    Vocabulary,
+    build_blocklist,
+    dictionary_candidates,
+    rank_candidates,
+)
+from triggercraft.distance import CostContext
+from triggercraft.errors import TriggerCraftError
+from triggercraft.lexicon import (
+    PronouncingDictionary,
+    Pronunciation,
+    WakeWordSpec,
+    load_dictionary,
+)
+from triggercraft.workbench import load_config
+
+# Entry names: plain and lower-case words, variants in and out of order, and
+# the malformed suffixes: empty, zero, unbalanced, too long for int64 (still a
+# variant), too long for int() (a bad variant index).
+NAMES = [
+    "A", "B", "a", "Foo", "O'CLOCK", "A(2)", "A(3)", "b(2)", "A()", "A(0)", "FOO)",
+    "A(2)(3)", "(2)", "A(02)", "A(99999999999999999999)", "A(" + "9" * 5000 + ")",
+]
+# Phone tokens: stress-marked, lower-case, unknown, and a digit in the middle.
+TOKENS = ["AH", "AH0", "ah1", "EH2", "K", "s", "T", "OW", "QX", "AH3", "A0H"]
+
+names = st.sampled_from(NAMES) | st.text(alphabet="ABab()0129'", min_size=1, max_size=6)
+entries = st.builds(
+    lambda name, sep, tokens: name + sep + " ".join(tokens),
+    names, st.sampled_from([" ", "  ", "\t"]), st.lists(st.sampled_from(TOKENS), min_size=1,
+                                                       max_size=4),
+)
+other_lines = st.sampled_from(["", "   ", ";;; comment", "  ;;; indented", ";;;", ";;;A AH"])
+dictionary_files = st.lists(
+    entries | other_lines | names | st.text(max_size=12), max_size=12,
+).map(lambda lines: [line + "\n" for line in lines])
+
+
+def listing(entries_by_word):
+    """(word, variant index, phones) of every variant, in order."""
+    return [(word, v.variant_index, v.phones)
+            for word, variants in entries_by_word.items() for v in variants]
+
+
+def outcome(parse, lines):
+    """The listing of what ``parse`` accepts, or the class, text and line of its error."""
+    try:
+        parsed = parse(lines)
+    except TriggerCraftError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return listing(parsed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=dictionary_files)
+@example(lines=["A  AH\n", "B  K\n", "A(2)  T\n"])
+@example(lines=["A(3)  AH\n", "A  K\n", "A(2)  T\n", "A(2)  OW\n"])
+@example(lines=["A(99999999999999999999)  AH\n", "A  K0\n"])
+@example(lines=["A(" + "9" * 5000 + ")  AH\n"])
+@example(lines=["A()  AH\n", "FOO)  K\n", "a(0)  T\n"])
+@example(lines=["hey  hh ey1\n", "ONE\n"])
+def test_dictionary_parses_like_the_object_reference(lines):
+    expected = outcome(reference_load_dictionary, lines)
+    assert outcome(load_dictionary, lines) == expected
+    if isinstance(expected, list):
+        dictionary = load_dictionary(lines)
+        reference = reference_load_dictionary(lines)
+        assert dictionary.entry_map() == {w: [v.phones for v in vs] for w, vs in reference.items()}
+        for word, variants in reference.items():
+            assert dictionary.lookup(word) == variants
+            assert dictionary.variant_phones(word) == tuple(v.phones for v in variants)
+        stream = io.StringIO()
+        dictionary.dump(stream)
+        assert stream.getvalue() == "".join(
+            f"{w if v == 1 else f'{w}({v})'}  {' '.join(phones)}\n" for w, v, phones in expected
+        )
+
+
+@st.composite
+def dictionary_rows(draw):
+    """(word, variant, phones) rows in any order, over four of the six test phones."""
+    rows = []
+    for word in range(draw(st.integers(1, 10))):
+        for variant in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)):
+            phones = draw(st.lists(st.sampled_from(ALPHABET[:4]), min_size=1, max_size=5))
+            rows.append((f"W{word}", variant, tuple(phones)))
+    return draw(st.permutations(rows))
+
+
+def dictionary_file(rows):
+    return [f"{w}({v})  {' '.join(p)}\n" if v > 1 else f"{w}  {' '.join(p)}\n"
+            for w, v, p in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=dictionary_rows())
+def test_added_variants_list_like_parsed_ones(rows):
+    added = PronouncingDictionary()
+    for word, variant, phones in rows:
+        added.add(Pronunciation(word, variant, phones))
+    reference = reference_load_dictionary(dictionary_file(rows))
+    assert listing(added) == listing(reference)
+    assert added.columns.symbols == load_dictionary(dictionary_file(rows)).columns.symbols
+
+
+# Wake phones: the dictionary's four, two it never uses, and one outside
+# the inventory; up to eight, longer than any pronunciation.
+wake_phones = st.lists(st.sampled_from(ALPHABET + ("QX",)), min_size=1, max_size=8).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=dictionary_rows(), phones=wake_phones)
+@example(rows=[("W0", 1, ("AA", "B")), ("W1", 1, ("B",))], phones=("S", "AA", "B", "T"))
+def test_blocklist_equals_the_per_variant_walk(rows, phones):
+    lines = dictionary_file(rows)
+    wake = WakeWordSpec(id="T", text="Wake Word", phones=phones, explicit_blocklist=("W9",))
+    expected = reference_blocklist(wake, reference_load_dictionary(lines))
+    assert build_blocklist(wake, load_dictionary(lines)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=dictionary_rows(), phones=wake_phones, seed=st.integers(0, 2**32 - 1))
+def test_dictionary_vocabulary_equals_one_of_candidates(rows, phones, seed):
+    lines = dictionary_file(rows)
+    dictionary = load_dictionary(lines)
+    vocab = Vocabulary.from_dictionary(dictionary)
+    expected = Vocabulary(reference_dictionary_candidates(reference_load_dictionary(lines)))
+    assert vocab.normalized_labels == expected.normalized_labels
+    assert vocab.codes.phones == expected.codes.phones
+    assert vocab.codes.counts.tolist() == expected.codes.counts.tolist()
+    for (positions, block), (want_positions, want_block) in zip(
+            vocab.codes.groups, expected.codes.groups, strict=True):
+        assert positions.tolist() == want_positions.tolist()
+        assert block.dtype == want_block.dtype and block.tolist() == want_block.tolist()
+
+    rng = random.Random(seed)
+    keep = np.array([rng.random() < 0.8 for _ in range(len(vocab))])
+    for model in random_models(rng, ALPHABET):
+        got = CostContext(phones, model).score(vocab.codes, keep)
+        assert got.tobytes() == CostContext(phones, model).score(expected.codes, keep).tobytes()
+
+    assert list(vocab) == list(expected) == list(Vocabulary(dictionary_candidates(dictionary)))
+    assert [id(c) for c in vocab] == [id(vocab[i]) for i in range(len(vocab))]
+    assert vocab[-1] is vocab[len(vocab) - 1]
+    assert vocab[1:] == tuple(vocab)[1:]
+
+
+def test_parse_vocabulary_and_blocklist_build_no_objects(fixtures_dir, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an object was built")
+
+    monkeypatch.setattr(lexicon, "Pronunciation", forbidden)
+    monkeypatch.setattr(candidates, "Candidate", forbidden)
+    config = load_config(fixtures_dir / "config.json")
+    vocab = config.vocabulary()
+    vocab.normalized_labels, vocab.codes
+    build_blocklist(config.wake_word("VA1"), config.dictionary())
+    monkeypatch.undo()
+    assert vocab[0] is vocab[0]
+
+
+def test_a_ranking_builds_only_the_candidates_it_lists_or_draws_from(fixtures_dir, monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(Candidate(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(candidates, "Candidate", counted)
+    config = load_config(fixtures_dir / "config.json")
+    vocab = config.vocabulary()
+    wake, model = config.wake_word("VA1"), config.model("unweighted")
+    ranked = rank_candidates(vocab, wake, model, k=3, seed=1)
+    first = len(built)
+    assert 3 <= first <= len(ranked.items) + ranked.boundary_pool_size < len(vocab)
+    assert rank_candidates(vocab, wake, model, k=3, seed=1) == ranked
+    assert len(built) == first  # the second ranking reuses them

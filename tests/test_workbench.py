@@ -8,7 +8,12 @@ import pytest
 
 from oracles import one_at_a_time
 from triggercraft import tuning, workbench
-from triggercraft.candidates import DEFAULT_VOICES, build_blocklist, dictionary_candidates
+from triggercraft.candidates import (
+    DEFAULT_VOICES,
+    Vocabulary,
+    build_blocklist,
+    dictionary_candidates,
+)
 from triggercraft.distance import CostContext
 from triggercraft.errors import ConfigError
 from triggercraft.tuning import Grid
@@ -265,6 +270,47 @@ class TestLoadConfig:
                 "--model", "unweighted"]
         assert main(argv) == 1
 
+    def test_wake_word_phones_are_read_like_dictionary_phones(self, tmp_path, fixtures_dir):
+        # Stress digits stripped and symbols upper-cased, as a dictionary's.
+        wakes = json.loads((fixtures_dir / "wake_words.json").read_text())
+        wakes[0]["phones"] = ["AH0", "L", "EH1", "K", "S", "ah0"]
+        wake = tmp_path / "wake.json"
+        wake.write_text(json.dumps(wakes), encoding="utf-8")
+        (tmp_path / "plain").mkdir()
+        plain = write_config(tmp_path / "plain", fixtures_dir)
+        stressed = write_config(tmp_path, fixtures_dir, wake_words=str(wake))
+        assert load_config(stressed).wake_word("VA1").phones == ("AH", "L", "EH", "K", "S", "AH")
+        args = ("rank", "--wake", "VA1", "--model", "unweighted")
+        expected = run(str(plain), tmp_path / "expected", *args)
+        got = run(str(stressed), tmp_path / "got", *args)
+        names = sorted(p.name for p in expected.iterdir())
+        assert names == sorted(p.name for p in got.iterdir()) and names
+        for name in names:
+            assert (got / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_wake_word_phones_outside_the_inventory_are_rejected(self, tmp_path, fixtures_dir):
+        entry = {"id": "VA1", "text": "Alexa", "phones": ["AH", "QX"]}
+        wake = tmp_path / "wake.json"
+        wake.write_text(json.dumps([entry]), encoding="utf-8")
+        path = write_config(tmp_path, fixtures_dir, wake_words=str(wake))
+        with pytest.raises(ConfigError, match="bad wake-word entry.*QX"):
+            load_config(path).wake_words()
+        argv = ["--config", str(path), "--out", str(tmp_path), "rank", "--wake", "VA1",
+                "--model", "unweighted"]
+        assert main(argv) == 1
+
+    def test_wake_words_share_the_configured_inventory(self, tmp_path, fixtures_dir):
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("AH vowel\nL consonant\n", encoding="utf-8")
+        entry = {"id": "VA1", "text": "Alexa", "phones": ["AH", "L", "EH"]}
+        wake = tmp_path / "wake.json"
+        wake.write_text(json.dumps([entry]), encoding="utf-8")
+        config = load_config(write_config(tmp_path, fixtures_dir, wake_words=str(wake),
+                                          inventory=str(inventory)))
+        with pytest.raises(ConfigError, match="'EH'"):
+            config.wake_words()
+        assert config.inventory() is config.inventory()
+
     def test_repr_leaves_out_loaded_resources(self, config_path):
         config = load_config(config_path)
         before = repr(config)
@@ -510,11 +556,13 @@ class TestRankCommand:
             run(config_path, tmp_path / "fresh", "rank", "--wake", wake, "--model", "advanced")
         builds = []
 
+        from_dictionary = Vocabulary.from_dictionary
+
         def counted(dictionary):
             builds.append(dictionary)
-            return dictionary_candidates(dictionary)
+            return from_dictionary(dictionary)
 
-        monkeypatch.setattr(workbench, "dictionary_candidates", counted)
+        monkeypatch.setattr(Vocabulary, "from_dictionary", counted)
         config = load_config(config_path)
         for wake in wakes:
             # As the command line runs a job, on the one loaded config.
