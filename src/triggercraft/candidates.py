@@ -4,8 +4,8 @@ Candidates come from two sources: whole dictionary words, and 1/2/3-grams
 pulled from subtitle-style transcripts.  Ranking computes each candidate's
 distance to a wake word and keeps the top K, with a seeded draw to resolve
 candidates tied at the cut-off so the list size is exact and reproducible.
-A :class:`Vocabulary` encodes its candidates for scoring once, so every
-wake word and model ranked against it shares that work.
+A :class:`Vocabulary` keeps its candidates as columns, built once and read
+by every ranking and tuning pass against it.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import numpy as np
 from .distance import CostContext, CostModel, DistanceBreakdown, PhoneCodes, distance_to_wakeword
 from .errors import ConfigError, EmptyVocabulary, OutOfVocabulary
 from .lexicon import (
-    DictionaryColumns,
     PhoneSeq,
     PronouncingDictionary,
     WakeWordSpec,
     phrase_phones,
+    phrase_rows,
 )
 
 __all__ = [
@@ -71,36 +71,61 @@ def normalize_label(label: str) -> str:
 
 
 class Vocabulary(Sequence):
-    """An immutable sequence of candidates that prepares itself for ranking.
+    """An immutable sequence of candidates, kept as columns for ranking.
 
-    The normalized labels and the :class:`~triggercraft.distance.PhoneCodes`
-    of the candidates are computed on first use and kept, so every wake
-    word and model ranked against one vocabulary reuses them.  A
-    vocabulary :meth:`from_dictionary` reads both from the dictionary's
-    columns and builds each :class:`Candidate` when it is first accessed,
-    then keeps it, so a ranking builds only those it lists or draws from.
+    ``labels`` and ``normalized_labels`` hold each candidate's label and
+    its :func:`normalize_label`, and ``codes`` one
+    :class:`~triggercraft.distance.PhoneCodes` of all the pronunciations.
+    Candidates given as objects are kept; any other :class:`Candidate` is
+    built from the columns when first accessed, then kept, so a ranking
+    builds only those it lists.
     """
 
-    __slots__ = ("_items", "_columns", "_labels", "_codes")
+    __slots__ = ("labels", "normalized_labels", "codes", "_items")
 
     def __init__(self, candidates: Iterable[Candidate]):
         self._items = list(candidates)
-        self._columns: DictionaryColumns | None = None
-        self._labels: tuple[str, ...] | None = None
-        self._codes: PhoneCodes | None = None
+        self.labels = [c.label for c in self._items]
+        self.normalized_labels = tuple(_normalized(self.labels))
+        self.codes = PhoneCodes([c.prons for c in self._items])
 
     @classmethod
-    def from_dictionary(cls, dictionary: PronouncingDictionary) -> "Vocabulary":
-        """One candidate per dictionary word, labelled in lower case, with all its variants."""
-        vocab = cls(())
-        vocab._columns = dictionary.columns
-        vocab._items = [None] * len(vocab._columns.words)
+    def from_dictionary(cls, dictionary: PronouncingDictionary,
+                        triggers: Iterable[str] = ()) -> "Vocabulary":
+        """One candidate per dictionary word, labelled in lower case, with all its
+        variants; then, with source ``"trigger"``, each new normalized label of
+        ``triggers``: its words' rows joined (:func:`~triggercraft.lexicon.phrase_rows`)."""
+        columns = dictionary.columns
+        labels = [word.lower() for word in columns.words]
+        normalized = _normalized(labels)
+        sources = ["dictionary"] * len(labels)  # stand for the candidates until built
+        counts, lengths, codes = [np.diff(columns.first)], [columns.lengths], [columns.codes]
+        known = set(normalized)
+        for label in [t for t in dict.fromkeys(map(normalize_label, triggers)) if t not in known]:
+            rows = phrase_rows(dictionary, label.split())
+            labels.append(label)
+            normalized.append(label)
+            sources.append("trigger")
+            counts.append([len(rows)])
+            lengths.append([sum(columns.lengths[r] for r in row) for row in rows])
+            codes += [columns.codes[columns.starts[r] : columns.starts[r + 1]]
+                      for row in rows for r in row]
+        vocab = cls.__new__(cls)
+        vocab._items, vocab.labels, vocab.normalized_labels = sources, labels, tuple(normalized)
+        flat = map(np.concatenate, (counts, lengths, codes))
+        vocab.codes = PhoneCodes.from_columns(columns.symbols, *flat)
         return vocab
 
     @classmethod
     def of(cls, vocab: Iterable[Candidate]) -> "Vocabulary":
         """``vocab`` itself if it is a vocabulary, else a new one holding it."""
         return vocab if isinstance(vocab, cls) else cls(vocab)
+
+    def keep_mask(self, wake: WakeWordSpec, blocklist: Iterable[str] = ()) -> np.ndarray:
+        """Whether each candidate's label is outside ``wake``'s :func:`blocked_labels`."""
+        blocked = blocked_labels(wake, blocklist)
+        return np.fromiter((label not in blocked for label in self.normalized_labels),
+                           dtype=bool, count=len(self))
 
     def __len__(self) -> int:
         return len(self._items)
@@ -109,43 +134,18 @@ class Vocabulary(Sequence):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
         item = self._items[index]
-        if item is None:
-            word_id = range(len(self))[index]
-            item = self._items[index] = Candidate(
-                self._columns.words[word_id].lower(), self._columns.phones(word_id)
-            )
+        if isinstance(item, str):  # not built yet: its source
+            index = range(len(self))[index]
+            prons = tuple(tuple(map(self.codes.phones.__getitem__, row))
+                          for row in self.codes.rows(index))
+            item = self._items[index] = Candidate(self.labels[index], prons, item)
         return item
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
-    @property
-    def normalized_labels(self) -> tuple[str, ...]:
-        """Each candidate's :func:`normalize_label`, in candidate order."""
-        if self._labels is None:
-            if self._columns is None:
-                labels = [c.label for c in self._items]
-            else:
-                labels = [word.lower() for word in self._columns.words]
-            # Most labels are normalized already; keep one string for those.
-            self._labels = tuple(
-                label if norm == label else norm
-                for label, norm in ((label, normalize_label(label)) for label in labels)
-            )
-        return self._labels
-
-    @property
-    def codes(self) -> PhoneCodes:
-        """The candidates' pronunciations, encoded for :meth:`CostContext.score`."""
-        if self._codes is None:
-            columns = self._columns
-            if columns is None:
-                self._codes = PhoneCodes([c.prons for c in self._items])
-            else:
-                self._codes = PhoneCodes.from_columns(
-                    columns.symbols, np.diff(columns.first), columns.lengths, columns.codes
-                )
-        return self._codes
+def _normalized(labels: list[str]) -> list[str]:
+    # Most labels are normalized already; keep one string for those.
+    return [label if norm == label else norm
+            for label, norm in zip(labels, map(normalize_label, labels))]
 
 
 def dictionary_candidates(dictionary: PronouncingDictionary) -> list[Candidate]:
@@ -235,10 +235,7 @@ def rank_candidates(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     vocab = Vocabulary.of(vocab)
-    blocked = blocked_labels(wake, blocklist)
-    keep = np.fromiter(
-        (label not in blocked for label in vocab.normalized_labels), dtype=bool, count=len(vocab)
-    )
+    keep = vocab.keep_mask(wake, blocklist)
     kept = np.flatnonzero(keep)
     if not len(kept):
         raise EmptyVocabulary(f"no candidates left for {wake.id!r} after blocklist filtering")
@@ -247,7 +244,7 @@ def rank_candidates(
     costs = CostContext(wake.phones, model).score(vocab.codes, keep)[kept]
 
     def by_cost(idx: int) -> tuple:
-        return (costs[idx], vocab[kept[idx]].label, idx)
+        return (costs[idx], vocab.labels[kept[idx]], idx)
 
     # Only candidates at or below the K-th smallest cost can be listed; with
     # K or fewer candidates that boundary is the largest cost, so all are.

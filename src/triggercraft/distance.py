@@ -25,7 +25,7 @@ each cell one float64 vector whose lanes are independent problems.
 each length-m block of a :class:`PhoneCodes` encoding, which is built once
 per vocabulary and shared by every wake word and model ranked against it,
 priced for the phones of kept candidates only.  The tuning grid pass lays
-grid points along it instead, one pronunciation at a time.
+grid points along it instead, one code row of its flat columns at a time.
 
 The kernel is bit-identical to the scalar recurrence that :func:`align`
 runs on Python floats.  Each cell performs the same IEEE-754 additions on
@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyWakeWord, NoPronunciation
-from .lexicon import PhoneIndex, PhoneSeq, WakeWordSpec
+from .lexicon import PhoneSeq, WakeWordSpec, encode_phones
 
 __all__ = [
     "CostContext",
@@ -279,8 +279,6 @@ class CostContext:
 
     def best_cost(self, prons: Sequence[PhoneSeq]) -> float:
         """Minimum rewrite cost over a candidate's pronunciation variants."""
-        if not prons:
-            raise NoPronunciation("candidate has no pronunciations")
         return float(self.best_costs([prons])[0])
 
     def best_costs(self, prons_per_candidate: Sequence[Sequence[PhoneSeq]]) -> np.ndarray:
@@ -349,16 +347,17 @@ def rewrite_costs(width: int, ins, subs, dels) -> np.ndarray:
 class PhoneCodes:
     """The pronunciations of a run of candidates, encoded for :meth:`CostContext.score`.
 
-    ``phones`` lists the phone symbols in order of first use; a code is an
-    index into it.  ``counts`` holds each candidate's variant count, and
-    ``groups`` one ``(positions, block)`` pair per pronunciation length m:
-    the flat indices of the pronunciations of that length (candidate
-    order, then variant order), and their ``(m, batch)`` codes, row j
-    holding every pronunciation's j-th phone.  Codes are the smallest
-    unsigned type that holds them (``uint8`` up to 256 phones).
+    ``phones`` lists the phone symbols in order of first use; a code, in the
+    smallest unsigned type that holds it, is an index into it.  Flat columns
+    hold each candidate's variant count (``counts``), each pronunciation's
+    length (``lengths``; candidate, then variant order) and every phone
+    (``codes``), with offsets ``first`` and ``starts``.  Beside them,
+    ``groups`` holds one ``(positions, block)`` pair per pronunciation
+    length m: their flat indices and ``(m, batch)`` codes, row j holding
+    every such pronunciation's j-th phone.
     """
 
-    __slots__ = ("phones", "counts", "groups")
+    __slots__ = ("phones", "counts", "lengths", "codes", "first", "starts", "groups")
 
     def __init__(self, prons_per_candidate: Sequence[Sequence[PhoneSeq]]):
         counts = np.fromiter(map(len, prons_per_candidate), dtype=np.intp,
@@ -366,38 +365,38 @@ class PhoneCodes:
         if not counts.all():
             raise NoPronunciation("candidate has no pronunciations")
         prons = list(itertools.chain.from_iterable(prons_per_candidate))
-        lengths = np.fromiter(map(len, prons), dtype=np.intp, count=len(prons))
-        index = PhoneIndex()
-        codes = np.fromiter(
-            map(index.__getitem__, itertools.chain.from_iterable(prons)),
-            dtype=np.intp, count=int(lengths.sum()),
-        )
-        self._group(tuple(index), counts, lengths, codes)
+        self._fill(counts, *encode_phones(prons))
 
     @classmethod
     def from_columns(cls, phones: Sequence[str], counts: np.ndarray, lengths: np.ndarray,
                      codes: np.ndarray) -> "PhoneCodes":
-        """Encoded from columns: each candidate's variant count, each
-        pronunciation's length, and every phone, flat, as an index into
-        ``phones``, which must list the phones in order of first use."""
+        """Encoded from flat columns; ``phones`` must be in order of first use."""
         self = cls.__new__(cls)
-        self._group(tuple(phones), counts, lengths, codes)
+        self._fill(counts, tuple(phones), lengths, codes)
         return self
 
-    def _group(self, phones, counts, lengths, codes) -> None:
-        dtype = np.min_scalar_type(max(len(phones) - 1, 0))
-        starts = np.cumsum(lengths) - lengths
-        order = np.argsort(lengths, kind="stable")
-        sizes = np.bincount(lengths)
+    def _fill(self, counts, phones, lengths, codes) -> None:
+        self.phones = phones
+        self.counts = np.asarray(counts, dtype=np.intp)
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        self.codes = np.asarray(codes, dtype=np.min_scalar_type(max(len(phones) - 1, 0)))
+        self.first = np.concatenate(([0], np.cumsum(self.counts)))
+        self.starts = np.concatenate(([0], np.cumsum(self.lengths)))
+        order = np.argsort(self.lengths, kind="stable")
+        sizes = np.bincount(self.lengths)
         self.groups = []
         end = 0
         for m in np.flatnonzero(sizes):
             positions = order[end : end + sizes[m]]
             end += sizes[m]
-            block = codes[starts[positions] + np.arange(m)[:, None]].astype(dtype)
+            block = self.codes[self.starts[positions] + np.arange(m)[:, None]]
             self.groups.append((positions, block))
-        self.phones = phones
-        self.counts = counts
+
+    def rows(self, index: int) -> list[list[int]]:
+        """Candidate ``index``'s pronunciations, each a list of codes."""
+        bounds = self.starts[self.first[index] : self.first[index + 1] + 1].tolist()
+        flat = self.codes[bounds[0] : bounds[-1]].tolist()
+        return [flat[a - bounds[0] : b - bounds[0]] for a, b in zip(bounds, bounds[1:])]
 
 
 def align(wake: PhoneSeq, cand: PhoneSeq, model: CostModel) -> DistanceBreakdown:

@@ -10,11 +10,11 @@ Dictionary files follow the common pronouncing-dictionary layout::
     TOMATO(2)  T AH0 M AA1 T OW2
 
 A loaded dictionary is columns (:class:`DictionaryColumns`): the words in
-file order, and per pronunciation its word index, variant index and
-length, with every phone in one flat array of small integer codes.
-Parsing fills the columns straight from the split lines; the
-:class:`Pronunciation` objects and phone tuples of a word are built only
-when something asks for that word.
+file order, and per pronunciation (row) its word index, variant index and
+length, with every phone in one flat array of small integer codes, filled
+straight from the split lines.  Objects and phone tuples are built only on
+demand; a phrase's pronunciations are its words' rows joined end to end
+(:func:`phrase_rows`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, ItemsView
+from typing import IO, Iterable, Iterator, ItemsView, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "normalize_word",
     "parse_phone",
     "phrase_phones",
+    "phrase_rows",
 ]
 
 # A pronunciation is a tuple of stress-free phone symbols.
@@ -177,11 +178,11 @@ class PhoneIndex(dict):
         return code
 
 
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """Start offsets of consecutive runs of ``sizes``, plus the total at the end."""
-    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=offsets[1:])
-    return offsets
+def encode_phones(prons: Sequence[PhoneSeq]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """``prons``' symbols in first-use order, lengths, and phones as indices into the symbols."""
+    index = PhoneIndex()
+    codes = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(prons)), np.intp)
+    return tuple(index), np.fromiter(map(len, prons), np.intp, count=len(prons)), codes
 
 
 class DictionaryColumns:
@@ -215,8 +216,9 @@ class DictionaryColumns:
         self.variants = variants
         self.lengths = np.asarray(lengths, dtype=np.intp)
         self.codes = np.asarray(codes, dtype=np.min_scalar_type(max(len(self.symbols) - 1, 0)))
-        self.first = _offsets(np.bincount(self.word_ids, minlength=len(words)))
-        self.starts = _offsets(self.lengths)
+        sizes = np.bincount(self.word_ids, minlength=len(words))
+        self.first = np.concatenate(([0], np.cumsum(sizes)))
+        self.starts = np.concatenate(([0], np.cumsum(self.lengths)))
         self._phones: dict[int, tuple[PhoneSeq, ...]] = {}
 
     @classmethod
@@ -224,10 +226,9 @@ class DictionaryColumns:
                   rows: Iterable[tuple[int, int, PhoneSeq]]) -> "DictionaryColumns":
         """Columns of ``(word id, variant, phones)`` rows listed in any order."""
         rows = sorted(rows, key=lambda row: row[:2])
-        symbols = PhoneIndex()
-        codes = [symbols[p] for _, _, phones in rows for p in phones]
+        symbols, lengths, codes = encode_phones([row[2] for row in rows])
         return cls(words, ids, symbols, [row[0] for row in rows], [row[1] for row in rows],
-                   [len(row[2]) for row in rows], codes)
+                   lengths, codes)
 
     def variants_of(self, word_id: int) -> list[int]:
         """The variant indices of word ``word_id``, in order."""
@@ -440,20 +441,25 @@ class WakeWordSpec:
 MAX_PHRASE_VARIANTS = 16
 
 
-def phrase_phones(
-    dictionary: PronouncingDictionary,
-    words: list[str],
-    max_variants: int = MAX_PHRASE_VARIANTS,
-) -> list[PhoneSeq]:
-    """Concatenated pronunciations for a phrase, one per variant combination.
-
-    The Cartesian product of per-word variants is enumerated in variant-index
-    order (first variants first) and truncated to ``max_variants`` entries, so
-    the all-first-variants combination always survives. A word without an
-    entry raises :class:`OutOfVocabulary`.
-    """
-    if not words:
+def _combinations(per_word: list, max_variants: int) -> list[tuple]:
+    """The phrase rule: the product of per-word variants in variant order, truncated
+    to ``max_variants``, so the all-first-variants combination always survives."""
+    if not per_word:
         raise ValueError("empty phrase")
-    per_word = [dictionary.variant_phones(w) for w in words]
-    combos = itertools.islice(itertools.product(*per_word), max_variants)
+    return list(itertools.islice(itertools.product(*per_word), max_variants))
+
+
+def phrase_rows(dictionary: PronouncingDictionary, words: list[str],
+                max_variants: int = MAX_PHRASE_VARIANTS) -> list[tuple[int, ...]]:
+    """The dictionary rows each pronunciation of a phrase joins, one tuple per
+    variant combination.  A word without an entry raises :class:`OutOfVocabulary`."""
+    first = dictionary.columns.first
+    spans = [range(first[i], first[i + 1]) for i in map(dictionary._word_id, words)]
+    return _combinations(spans, max_variants)
+
+
+def phrase_phones(dictionary: PronouncingDictionary, words: list[str],
+                  max_variants: int = MAX_PHRASE_VARIANTS) -> list[PhoneSeq]:
+    """Concatenated pronunciations for a phrase: the rows of :func:`phrase_rows`, decoded."""
+    combos = _combinations([dictionary.variant_phones(w) for w in words], max_variants)
     return [tuple(itertools.chain.from_iterable(combo)) for combo in combos]

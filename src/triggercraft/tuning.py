@@ -22,10 +22,10 @@ first argmin of the summed per-wake worst vectors) and every
 leave-one-wake-out fold (the same argmin over the other wake words) are
 reductions over those vectors.
 
-The rank pass runs the one edit-distance kernel, ``distance.rewrite_costs``,
-with the grid along its vectors: per pronunciation, two preallocated rows
-of m+1 float vectors over the grid.  Each point performs exactly the float
-arithmetic of ranking at that point.
+The rank pass reads the vocabulary's columns and runs the one kernel,
+``distance.rewrite_costs``, with the grid along its vectors: per code row,
+two preallocated rows of m+1 float vectors over the grid.  Each point
+performs exactly the float arithmetic of ranking at that point.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .candidates import Candidate, Vocabulary, blocked_labels, normalize_label, rank_candidates
+from .candidates import Candidate, Vocabulary, normalize_label, rank_candidates
 from .distance import (UNIT_SCALES, CostContext, CostModel, ScaleFactors, WeightTable,
                        rewrite_costs)
 from .errors import (
@@ -48,7 +48,7 @@ from .errors import (
     UnknownLabel,
     UnknownWakeWord,
 )
-from .lexicon import PhoneSeq, WakeWordSpec
+from .lexicon import WakeWordSpec
 from .readers import tsv_rows
 
 __all__ = [
@@ -98,10 +98,13 @@ def load_trigger_labels(lines: Iterable[str]) -> list[LabeledTrigger]:
         if len(parts) not in (2, 3):
             raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(parts)}", lineno)
         times: int | None = None
-        if len(parts) == 3 and parts[2].strip():
+        count = parts[2].strip() if len(parts) == 3 else ""
+        if count:
             try:
-                times = int(parts[2])
-            except ValueError:
+                if not (count.isascii() and count.isdigit()):
+                    raise ValueError
+                times = int(count)
+            except ValueError:  # also more digits than an int may be parsed from
                 raise ParseError(f"bad times_triggered {parts[2]!r}", lineno) from None
         triggers.append(LabeledTrigger(parts[0].strip(), parts[1], times))
     return triggers
@@ -200,37 +203,39 @@ def _grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _GridScorer:
     """Rewrite costs for one wake word at every grid point simultaneously.
 
-    An edit costs the grid's scale vector times the weight ``ctx`` holds
-    for it, so each point prices it as :class:`CostContext` does.
+    A candidate comes as rows of codes into ``phones``.  An edit costs the
+    grid's scale vector times the weight ``ctx`` holds for it, so each
+    point prices it as :class:`CostContext` does.
     """
 
-    def __init__(self, ctx: CostContext, s_arr: np.ndarray, d_arr: np.ndarray, i_arr: np.ndarray):
+    def __init__(self, ctx: CostContext, phones: Sequence[str], s_arr: np.ndarray,
+                 d_arr: np.ndarray, i_arr: np.ndarray):
         self.wake = ctx.wake
         self.ctx = ctx
-        self.s_arr = s_arr
-        self.i_arr = i_arr
+        self.phones = phones
+        self.s_arr, self.i_arr = s_arr, i_arr
         self.del_vecs = [d_arr * w for w in ctx._del_weights]
-        self._sub_vecs: dict[tuple[int, str], np.ndarray] = {}
-        self._ins_vecs: dict[str, np.ndarray] = {}
+        self._sub_vecs: list[list[np.ndarray | None]] = [[None] * len(phones) for _ in ctx.wake]
+        self._ins_vecs: list[np.ndarray | None] = [None] * len(phones)
 
-    def _sub_vec(self, position: int, q: str) -> np.ndarray:
-        key = (position, q)
-        vec = self._sub_vecs.get(key)
+    def _sub_vec(self, position: int, code: int) -> np.ndarray:
+        row = self._sub_vecs[position]
+        vec = row[code]
         if vec is None:
-            vec = self._sub_vecs[key] = self.s_arr * self.ctx._sub_weight(position, q)
+            vec = row[code] = self.s_arr * self.ctx._sub_weight(position, self.phones[code])
         return vec
 
-    def _ins_vec(self, q: str) -> np.ndarray:
-        vec = self._ins_vecs.get(q)
+    def _ins_vec(self, code: int) -> np.ndarray:
+        vec = self._ins_vecs[code]
         if vec is None:
-            vec = self._ins_vecs[q] = self.i_arr * self.ctx._ins_weight(q)
+            vec = self._ins_vecs[code] = self.i_arr * self.ctx._ins_weight(self.phones[code])
         return vec
 
-    def best_cost(self, prons: Sequence[PhoneSeq]) -> np.ndarray:
+    def best_cost(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
         best = None
-        for pron in prons:
-            ins = [self._ins_vec(q) for q in pron]
-            subs = ([self._sub_vec(i, q) for q in pron] for i in range(len(self.wake)))
+        for row in rows:
+            ins = [self._ins_vec(c) for c in row]
+            subs = ([self._sub_vec(i, c) for c in row] for i in range(len(self.wake)))
             cost = rewrite_costs(len(self.s_arr), ins, subs, self.del_vecs)
             best = cost if best is None else np.minimum(best, cost, out=best)
         return best
@@ -299,13 +304,13 @@ class TriggerRanks:
         return vectors
 
     def _rank_pass(self, wake: WakeWordSpec) -> dict[str, np.ndarray]:
-        blocked = blocked_labels(wake, self.blocklists.get(wake.id, ()))
-        kept = [(cand, label) for cand, label in zip(self.vocab, self.vocab.normalized_labels)
-                if label not in blocked]
+        vocab = self.vocab
+        kept = np.flatnonzero(vocab.keep_mask(wake, self.blocklists.get(wake.id, ()))).tolist()
         # A label's target is the first kept candidate carrying it.
         wanted = set(self.labels.get(wake.id, ()))
         target_of: dict[str, int] = {}
-        for idx, (_, label) in enumerate(kept):
+        for idx in kept:
+            label = vocab.normalized_labels[idx]
             if label in wanted and label not in target_of:
                 target_of[label] = idx
         missing = wanted - target_of.keys()
@@ -313,15 +318,16 @@ class TriggerRanks:
             raise UnknownLabel(f"labels not in vocabulary for {wake.id!r}: {sorted(missing)}")
         if not target_of:
             return {}
-        scorer = _GridScorer(CostContext(wake.phones, self.model), *self._arrays)
-        costs = {idx: scorer.best_cost(kept[idx][0].prons) for idx in target_of.values()}
+        codes = vocab.codes
+        scorer = _GridScorer(CostContext(wake.phones, self.model), codes.phones, *self._arrays)
+        costs = {idx: scorer.best_cost(codes.rows(idx)) for idx in target_of.values()}
         labels = list(target_of)
         targets = np.array([costs[target_of[lbl]] for lbl in labels])
         counts = np.ones(targets.shape, dtype=np.int64)
-        for idx, (cand, _) in enumerate(kept):
+        for idx in kept:
             cost = costs.get(idx)
             if cost is None:
-                cost = scorer.best_cost(cand.prons)
+                cost = scorer.best_cost(codes.rows(idx))
             counts += cost < targets
         return dict(zip(labels, counts))
 

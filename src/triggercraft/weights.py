@@ -26,6 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .distance import WeightTable, exact_mean
 from .errors import (
     EmptyInput,
@@ -111,11 +113,11 @@ def sample_probe_words(
     diagnostic is logged; zero qualifying words raises
     :class:`NoQualifyingWords`.
     """
-    qualifying = sorted(
-        word
-        for word in dictionary.words()
-        if any(phone in v.phones for v in dictionary.lookup(word))
-    )
+    columns = dictionary.columns
+    # Each of ``phone``'s codes lies in the last row that starts at or before it.
+    hits = np.flatnonzero((np.array(columns.symbols, dtype=str) == phone)[columns.codes])
+    rows = np.searchsorted(columns.starts, hits, "right") - 1
+    qualifying = sorted(columns.words[w] for w in np.unique(columns.word_ids[rows]).tolist())
     if not qualifying:
         raise NoQualifyingWords(f"no dictionary word contains phone {phone!r}")
     if len(qualifying) <= n_words:

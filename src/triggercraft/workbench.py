@@ -39,7 +39,6 @@ from . import tuning as tuning_mod
 from . import weights as weights_mod
 from .candidates import (
     DEFAULT_VOICES,
-    Candidate,
     RankedList,
     Vocabulary,
     Voice,
@@ -56,7 +55,6 @@ from .lexicon import (
     WakeWordSpec,
     load_dictionary,
     parse_phone,
-    phrase_phones,
 )
 from .readers import finite_number, string, whole_number
 from .tuning import (
@@ -417,23 +415,9 @@ def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
 def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     triggers = _parse_file(args.triggers, load_trigger_labels)
     dictionary = config.dictionary()
-    vocab = config.vocabulary()
     # Triggers rank against the word list, so phrase triggers (and any
-    # trigger missing from it) join the vocabulary as candidates.
-    known = set(vocab.normalized_labels)
-    extra = []
-    for trigger in triggers:
-        label = trigger.trigger_label
-        if label not in known:
-            known.add(label)
-            extra.append(
-                Candidate(
-                    label=label,
-                    prons=tuple(phrase_phones(dictionary, label.split())),
-                    source="trigger",
-                )
-            )
-    vocab = Vocabulary([*vocab, *extra])  # one encoding for every LOOCV ranking
+    # trigger missing from it) join it: one encoding for every ranking.
+    vocab = Vocabulary.from_dictionary(dictionary, [t.trigger_label for t in triggers])
     wakes = config.wake_words()
     blocklists = {w.id: build_blocklist(w, dictionary) for w in wakes}
     table = config.weight_table() if args.variant == "advanced" else None
@@ -507,9 +491,14 @@ def cmd_weights(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
 
 
 def cmd_probe_plan(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
+    if min(args.n_words, args.n_voices) < 1:
+        raise ConfigError("--n-words and --n-voices must be at least 1")
     dictionary = config.dictionary()
     if args.phones:
-        phones = args.phones
+        try:  # read as wake-word phones are
+            phones = [parse_phone(p, config.inventory()).symbol for p in args.phones]
+        except UnknownPhone as exc:
+            raise ConfigError(f"bad --phone: {exc}") from None
     else:
         phones = sorted({p for w in config.wake_words() for p in w.phones})
     lines = ["phone\tedit\ttarget\tword\tvoice"]

@@ -2,16 +2,18 @@
 
 Run from the repository root::
 
-    python3 tests/fixtures/gen_fixtures.py
+    python3 tests/fixtures/gen_fixtures.py [OUT_DIR]
 
-Everything is seeded, so reruns reproduce the committed files byte for
-byte.
+The files are written to ``OUT_DIR``, by default this script's own
+directory.  Everything is seeded, so reruns reproduce the committed files
+byte for byte; ``tests/test_fixtures.py`` checks that they do.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -36,7 +38,7 @@ PROBE_WORDS = ["ABOUT", "CAMERA"]
 N_VOICES = 2
 
 
-def gen_probe_scores() -> None:
+def gen_probe_scores(out: Path = HERE) -> None:
     rng = random.Random(20250818)
     lines = ["phone\tedit\ttarget\tword\tvoice\tscore_delta"]
     for phone in WAKE_PHONES:
@@ -59,10 +61,10 @@ def gen_probe_scores() -> None:
                     lines.append(
                         f"{phone}\tsubstitute\t{target}\t{word}\t{voice}\t{delta!r}"
                     )
-    (HERE / "probe_scores.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "probe_scores.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def gen_measurement_logs() -> None:
+def gen_measurement_logs(out: Path = HERE) -> None:
     rng = random.Random(31415926)
     speakers = ["VA1", "VA3"]
     medias = {"show_a_e01": 1320.0, "news_b_e02": 1800.0}
@@ -112,10 +114,18 @@ def gen_measurement_logs() -> None:
         ("adjudication.jsonl", adjudications),
     ):
         body = "\n".join(json.dumps(r) for r in records) + "\n"
-        (HERE / name).write_text(body, encoding="utf-8")
+        (out / name).write_text(body, encoding="utf-8")
+
+
+# The files the two generators write.
+GENERATED = ("probe_scores.tsv", "events.jsonl", "verification.jsonl", "adjudication.jsonl")
+
+
+def main(out: Path = HERE) -> None:
+    gen_probe_scores(out)
+    gen_measurement_logs(out)
 
 
 if __name__ == "__main__":
-    gen_probe_scores()
-    gen_measurement_logs()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else HERE)
     print("fixtures regenerated")

@@ -30,7 +30,7 @@ from triggercraft.distance import (
     ScaleFactors,
     WeightTable,
 )
-from triggercraft.errors import NegativeProgress, ParseError, UnknownPhone
+from triggercraft.errors import NegativeProgress, NoQualifyingWords, ParseError, UnknownPhone
 from triggercraft.harness import (
     ActivationObservation,
     Adjudication,
@@ -38,6 +38,7 @@ from triggercraft.harness import (
     VerificationResult,
 )
 from triggercraft.lexicon import PhoneInventory, Pronunciation, parse_phone
+from triggercraft.weights import ProbePlan
 
 # A compact phone alphabet for randomized tests.  Real inventory symbols,
 # so the same sequences can be round-tripped through dictionary fixtures.
@@ -509,3 +510,28 @@ def reference_blocklist(wake, entries) -> set[str]:
         if any(v.phones in pieces for v in variants):
             blocked.add(normalize(word))
     return blocked
+
+
+def reference_phrase_phones(entries, words, max_variants=16) -> list[tuple[str, ...]]:
+    """A phrase's pronunciations from ``entries`` (word -> Pronunciations):
+    each combination of its words' variants, first variants first, joined,
+    and only the first ``max_variants`` combinations."""
+    combos = [()]
+    for word in words:
+        combos = [combo + v.phones for combo in combos for v in entries[word.upper()]]
+    return combos[:max_variants]
+
+
+def reference_sample_probe_words(dictionary, phone, n_words, seed) -> ProbePlan:
+    """The probe plan by a walk over every word's looked-up variants."""
+    qualifying = sorted(
+        word for word in dictionary.words()
+        if any(phone in v.phones for v in dictionary.lookup(word))
+    )
+    if not qualifying:
+        raise NoQualifyingWords(f"no dictionary word contains phone {phone!r}")
+    if len(qualifying) <= n_words:
+        words = tuple(qualifying)
+    else:
+        words = tuple(random.Random(seed).sample(qualifying, n_words))
+    return ProbePlan(phone=phone, words=words, n_voices=10, seed=seed)

@@ -1,14 +1,16 @@
 """The columnar pronouncing dictionary against the object-building reference.
 
-The parser, the dictionary vocabulary and the blocklist each read the
-dictionary's columns; each is checked here against the per-line,
-per-variant objects of ``tests/oracles.py``.
+The parser, the dictionary vocabulary (with trigger phrases), the
+blocklist and the probe sampling each read the dictionary's columns; each
+is checked here against the per-line, per-variant objects of
+``tests/oracles.py``.
 """
 
 import io
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,8 @@ from oracles import (
     reference_blocklist,
     reference_dictionary_candidates,
     reference_load_dictionary,
+    reference_phrase_phones,
+    reference_sample_probe_words,
 )
 from triggercraft import candidates, lexicon
 from triggercraft.candidates import (
@@ -25,16 +29,20 @@ from triggercraft.candidates import (
     Vocabulary,
     build_blocklist,
     dictionary_candidates,
+    normalize_label,
     rank_candidates,
 )
 from triggercraft.distance import CostContext
-from triggercraft.errors import TriggerCraftError
+from triggercraft.errors import NoQualifyingWords, TriggerCraftError
 from triggercraft.lexicon import (
     PronouncingDictionary,
     Pronunciation,
     WakeWordSpec,
     load_dictionary,
+    phrase_phones,
 )
+from triggercraft.tuning import TriggerRanks, filter_triggers, grid_search, load_trigger_labels
+from triggercraft.weights import sample_probe_words
 from triggercraft.workbench import load_config
 
 # Entry names: plain and lower-case words, variants in and out of order, and
@@ -166,6 +174,98 @@ def test_dictionary_vocabulary_equals_one_of_candidates(rows, phones, seed):
     assert [id(c) for c in vocab] == [id(vocab[i]) for i in range(len(vocab))]
     assert vocab[-1] is vocab[len(vocab) - 1]
     assert vocab[1:] == tuple(vocab)[1:]
+
+
+def codes_fields(codes):
+    """Every column and group of a PhoneCodes, as plain values."""
+    return (codes.phones, codes.counts.tolist(), codes.lengths.tolist(), codes.codes.dtype,
+            codes.codes.tolist(), [(p.tolist(), b.dtype, b.tolist()) for p, b in codes.groups])
+
+
+@st.composite
+def phrase_vocabularies(draw):
+    """A dictionary file and trigger labels over its words: phrases of up
+    to three words, in any case and spacing, single words among them."""
+    lines = dictionary_file(draw(dictionary_rows()))
+    words = sorted({line.split()[0].split("(")[0] for line in lines})
+    labels = draw(st.lists(
+        st.builds(lambda ws, sep: sep.join(ws),
+                  st.lists(st.sampled_from(words + [w.lower() for w in words]),
+                           min_size=1, max_size=3),
+                  st.sampled_from([" ", "  ", "\t"])),
+        max_size=4))
+    return lines, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(vocabulary=phrase_vocabularies(), phones=wake_phones, seed=st.integers(0, 2**32 - 1))
+@example(vocabulary=(dictionary_file([(w, v, ("AA",) * v) for w in ("W0", "W1", "W2")
+                                      for v in (1, 2, 3)]), ["W0 w1 W2", "w1", "w0  W1"]),
+         phones=("AA", "B"), seed=0)
+def test_phrase_rows_are_the_candidates_tune_built(vocabulary, phones, seed):
+    lines, labels = vocabulary
+    dictionary = load_dictionary(lines)
+    vocab = Vocabulary.from_dictionary(dictionary, labels)
+    # The vocabulary tune built from objects: the words, then each new
+    # normalized label as a "trigger" candidate with phrase_phones' tuples.
+    words = reference_dictionary_candidates(reference_load_dictionary(lines))
+    known, extra = {c.label for c in words}, []
+    for label in map(normalize_label, labels):
+        if label not in known:
+            known.add(label)
+            prons = tuple(phrase_phones(dictionary, label.split()))
+            assert prons == tuple(reference_phrase_phones(reference_load_dictionary(lines),
+                                                          label.split()))
+            extra.append(Candidate(label, prons, source="trigger"))
+    expected = Vocabulary([*words, *extra])
+
+    assert vocab.labels == expected.labels
+    assert vocab.normalized_labels == expected.normalized_labels
+    assert codes_fields(vocab.codes) == codes_fields(expected.codes)
+    for idx, cand in enumerate(extra, len(words)):  # decoded from the joined rows
+        assert vocab[idx].prons == cand.prons and vocab[idx].source == "trigger"
+    rng = random.Random(seed)
+    keep = np.array([rng.random() < 0.8 for _ in range(len(vocab))])
+    for model in random_models(rng, ALPHABET):
+        got = CostContext(phones, model).score(vocab.codes, keep)
+        assert got.tobytes() == CostContext(phones, model).score(expected.codes, keep).tobytes()
+    assert list(vocab) == list(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=dictionary_rows(), phone=st.sampled_from(ALPHABET + ("QX", "AA0")),
+       n_words=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_probe_sampling_scans_the_codes_like_the_lookup_walk(rows, phone, n_words, seed):
+    dictionary = load_dictionary(dictionary_file(rows))
+    try:
+        expected = reference_sample_probe_words(dictionary, phone, n_words, seed)
+    except NoQualifyingWords:
+        with pytest.raises(NoQualifyingWords):
+            sample_probe_words(dictionary, phone, n_words, seed)
+        return
+    assert sample_probe_words(dictionary, phone, n_words, seed) == expected
+
+
+def test_tune_reductions_build_no_objects(fixtures_dir, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an object was built")
+
+    monkeypatch.setattr(lexicon, "Pronunciation", forbidden)
+    monkeypatch.setattr(candidates, "Candidate", forbidden)
+    config = load_config(fixtures_dir / "config.json")
+    with open(fixtures_dir / "triggers.tsv", encoding="utf-8") as fh:
+        triggers = load_trigger_labels(fh)
+    assert "a lesson" in {t.trigger_label for t in triggers}  # a phrase trigger
+    dictionary, wakes, grid = config.dictionary(), config.wake_words(), config.grid
+    vocab = Vocabulary.from_dictionary(dictionary, [t.trigger_label for t in triggers])
+    blocklists = {w.id: build_blocklist(w, dictionary) for w in wakes}
+    table = config.weight_table()
+    ranks = TriggerRanks(triggers, vocab, wakes, grid, "advanced", table, blocklists)
+    for wake_id in ("VA1", "VA2", "VA3"):
+        ranks.of(wake_id)
+    kept = filter_triggers(triggers, vocab, wakes, grid, variant="advanced", table=table,
+                           blocklists=blocklists, ranks=ranks)
+    grid_search(kept, vocab, wakes, grid, "advanced", table, blocklists, ranks=ranks)
 
 
 def test_parse_vocabulary_and_blocklist_build_no_objects(fixtures_dir, monkeypatch):

@@ -19,7 +19,7 @@ from triggercraft.candidates import (
     normalize_label,
     rank_candidates,
 )
-from triggercraft.distance import CostContext, CostModel, ScaleFactors, WeightTable
+from triggercraft.distance import CostContext, CostModel, PhoneCodes, ScaleFactors, WeightTable
 from triggercraft.errors import (
     NoTriggers,
     ParseError,
@@ -87,6 +87,16 @@ class TestLoadTriggerLabels:
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
             load_trigger_labels(io.StringIO(self.HEADER + "VA1\n"))
+
+    @pytest.mark.parametrize("count", ["-3", "+2", "1_000", "\u0663", "3.0", "0x1", "3 4"])
+    def test_count_is_ascii_digits_only(self, count):
+        with pytest.raises(ParseError) as err:
+            load_trigger_labels(io.StringIO(self.HEADER + f"VA1\tlexus\t1\nVA1\tx\t{count}\n"))
+        assert err.value.line == 3
+
+    def test_count_digits_around_whitespace(self):
+        out = load_trigger_labels(io.StringIO(self.HEADER + "VA1\tlexus\t 007 \n"))
+        assert out == [LabeledTrigger("VA1", "lexus", 7)]
 
 
 class TestGrid:
@@ -624,7 +634,9 @@ def test_grid_pass_costs_equal_the_kernel(wake, prons, advanced, table, lo, step
     grid = Grid(lo, lo + 2 * step, step)
     variant, table = ("advanced", table) if advanced else ("simple", None)
     ctx = CostContext(wake, CostModel(variant, ScaleFactors(), table))
-    got = tuning._GridScorer(ctx, *tuning._grid_arrays(grid)).best_cost(prons)
+    codes = PhoneCodes([prons])
+    got = tuning._GridScorer(ctx, codes.phones, *tuning._grid_arrays(grid)).best_cost(
+        codes.rows(0))
     expected = [CostContext(wake, CostModel(variant, point, table)).best_cost(prons)
                 for point in grid.points()]
     assert got.tolist() == expected
@@ -659,7 +671,9 @@ def test_grid_pass_costs_equal_the_oracle(wake, prons, advanced, table, lo, step
     grid = Grid(lo, lo + step, step)
     variant, table = ("advanced", table) if advanced else ("simple", None)
     ctx = CostContext(wake, CostModel(variant, ScaleFactors(), table))
-    got = tuning._GridScorer(ctx, *tuning._grid_arrays(grid)).best_cost(prons)
+    codes = PhoneCodes([prons])
+    got = tuning._GridScorer(ctx, codes.phones, *tuning._grid_arrays(grid)).best_cost(
+        codes.rows(0))
     expected = [min(oracle_costs(wake, pron, [CostModel(variant, point, table)])[0]
                     for pron in prons)
                 for point in grid.points()]

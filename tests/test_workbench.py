@@ -759,6 +759,30 @@ class TestProbePlanCommand:
                      "probe-plan", "--phone", "OY", "--n-words", "2"])
         assert code == 2
 
+    def test_phones_read_as_wake_word_phones(self, config_path, tmp_path):
+        plans = [(run(config_path, tmp_path / phone, "probe-plan", "--phone", phone,
+                      "--n-words", "2") / "probe_plan.tsv").read_bytes()
+                 for phone in ("AH", "AH0", "ah")]
+        assert plans[0] == plans[1] == plans[2]
+        assert plans[0].splitlines()[1].startswith(b"AH\tdelete\t")
+        code = main(["--config", config_path, "--out", str(tmp_path),
+                     "probe-plan", "--phone", "QX", "--n-words", "2"])
+        assert code == 1  # not in the inventory
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_word_count_below_one_is_a_usage_error(self, config_path, tmp_path, count):
+        code = main(["--config", config_path, "--out", str(tmp_path),
+                     "probe-plan", "--phone", "B", "--n-words", count])
+        assert code == 1
+        assert not (tmp_path / "probe_plan.tsv").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_voice_count_below_one_is_a_usage_error(self, config_path, tmp_path, count):
+        code = main(["--config", config_path, "--out", str(tmp_path),
+                     "probe-plan", "--phone", "B", "--n-voices", count])
+        assert code == 1
+        assert not (tmp_path / "probe_plan.tsv").exists()
+
 
 class TestHarnessCommand:
     def harness_args(self, fixtures_dir):
