@@ -19,9 +19,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .distance import CostContext, CostModel, DistanceBreakdown, PhoneCodes, distance_to_wakeword
+from .distance import CostContext, CostModel, DistanceBreakdown, distance_to_wakeword
 from .errors import ConfigError, EmptyVocabulary, OutOfVocabulary
 from .lexicon import (
+    PhoneCodes,
     PhoneSeq,
     PronouncingDictionary,
     WakeWordSpec,
@@ -75,7 +76,7 @@ class Vocabulary(Sequence):
 
     ``labels`` and ``normalized_labels`` hold each candidate's label and
     its :func:`normalize_label`, and ``codes`` one
-    :class:`~triggercraft.distance.PhoneCodes` of all the pronunciations.
+    :class:`~triggercraft.lexicon.PhoneCodes` of all the pronunciations.
     Candidates given as objects are kept; any other :class:`Candidate` is
     built from the columns when first accessed, then kept, so a ranking
     builds only those it lists.
@@ -85,8 +86,8 @@ class Vocabulary(Sequence):
 
     def __init__(self, candidates: Iterable[Candidate]):
         self._items = list(candidates)
-        self.labels = [c.label for c in self._items]
-        self.normalized_labels = tuple(_normalized(self.labels))
+        self.labels = tuple(c.label for c in self._items)
+        self.normalized_labels = _normalized(self.labels)
         self.codes = PhoneCodes([c.prons for c in self._items])
 
     @classmethod
@@ -95,25 +96,24 @@ class Vocabulary(Sequence):
         """One candidate per dictionary word, labelled in lower case, with all its
         variants; then, with source ``"trigger"``, each new normalized label of
         ``triggers``: its words' rows joined (:func:`~triggercraft.lexicon.phrase_rows`)."""
-        columns = dictionary.columns
-        labels = [word.lower() for word in columns.words]
+        codes = dictionary.columns.codes
+        labels = tuple(word.lower() for word in dictionary.columns.words)
         normalized = _normalized(labels)
-        sources = ["dictionary"] * len(labels)  # stand for the candidates until built
-        counts, lengths, codes = [np.diff(columns.first)], [columns.lengths], [columns.codes]
-        known = set(normalized)
-        for label in [t for t in dict.fromkeys(map(normalize_label, triggers)) if t not in known]:
+        phrases = dict.fromkeys(map(normalize_label, triggers))
+        known = set(normalized) if phrases else ()
+        phrases = tuple(t for t in phrases if t not in known)
+        counts, lengths, flat = [codes.counts], [codes.lengths], [codes.codes]
+        for label in phrases:
             rows = phrase_rows(dictionary, label.split())
-            labels.append(label)
-            normalized.append(label)
-            sources.append("trigger")
             counts.append([len(rows)])
-            lengths.append([sum(columns.lengths[r] for r in row) for row in rows])
-            codes += [columns.codes[columns.starts[r] : columns.starts[r + 1]]
-                      for row in rows for r in row]
+            lengths.append([sum(codes.lengths[r] for r in row) for row in rows])
+            flat += [codes.codes[codes.starts[r] : codes.starts[r + 1]]
+                     for row in rows for r in row]
         vocab = cls.__new__(cls)
-        vocab._items, vocab.labels, vocab.normalized_labels = sources, labels, tuple(normalized)
-        flat = map(np.concatenate, (counts, lengths, codes))
-        vocab.codes = PhoneCodes.from_columns(columns.symbols, *flat)
+        vocab._items = ["dictionary"] * len(labels) + ["trigger"] * len(phrases)
+        vocab.labels, vocab.normalized_labels = labels + phrases, normalized + phrases
+        vocab.codes = PhoneCodes.from_columns(
+            codes.phones, *map(np.concatenate, (counts, lengths, flat))) if phrases else codes
         return vocab
 
     @classmethod
@@ -136,16 +136,17 @@ class Vocabulary(Sequence):
         item = self._items[index]
         if isinstance(item, str):  # not built yet: its source
             index = range(len(self))[index]
-            prons = tuple(tuple(map(self.codes.phones.__getitem__, row))
-                          for row in self.codes.rows(index))
+            prons = self.codes.decode(index)
             item = self._items[index] = Candidate(self.labels[index], prons, item)
         return item
 
 
-def _normalized(labels: list[str]) -> list[str]:
-    # Most labels are normalized already; keep one string for those.
-    return [label if norm == label else norm
-            for label, norm in zip(labels, map(normalize_label, labels))]
+def _normalized(labels: tuple[str, ...]) -> tuple[str, ...]:
+    # Most labels are normalized already: keep one string for those, and
+    # ``labels`` itself when all are.
+    normalized = tuple(label if norm == label else norm
+                       for label, norm in zip(labels, map(normalize_label, labels)))
+    return labels if normalized == labels else normalized
 
 
 def dictionary_candidates(dictionary: PronouncingDictionary) -> list[Candidate]:
@@ -173,18 +174,19 @@ def build_blocklist(
     """
     blocked = blocked_labels(wake)
     columns = dictionary.columns
-    code_of = {symbol: code for code, symbol in enumerate(columns.symbols)}
+    codes = columns.codes
+    code_of = {symbol: code for code, symbol in enumerate(codes.phones)}
     wake_codes = [code_of.get(p) for p in wake.phones]
     n = len(wake_codes)
-    hit = np.zeros(len(columns.lengths), dtype=bool)
+    hit = np.zeros(len(codes.lengths), dtype=bool)
     for m in range(1, n + 1):
         pieces = {tuple(wake_codes[i : i + m]) for i in range(n - m + 1)}
         pieces = [piece for piece in pieces if None not in piece]
-        rows = np.flatnonzero(columns.lengths == m)
+        rows = np.flatnonzero(codes.lengths == m)
         if not pieces or not len(rows):
             continue
-        starts = columns.starts[rows]
-        phones = [columns.codes[starts + j] for j in range(m)]  # j-th phone of each row
+        starts = codes.starts[rows]
+        phones = [codes.codes[starts + j] for j in range(m)]  # j-th phone of each row
         for piece in pieces:
             match = np.logical_and.reduce([column == code for column, code in zip(phones, piece)])
             hit[rows[match]] = True

@@ -47,7 +47,6 @@ so this is the forward pass's tie-break.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -56,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyWakeWord, NoPronunciation
-from .lexicon import PhoneSeq, WakeWordSpec, encode_phones
+from .lexicon import PhoneCodes, PhoneSeq, WakeWordSpec
 
 __all__ = [
     "CostContext",
@@ -310,11 +309,11 @@ class CostContext:
         ins[used] = [scales.i * self._ins_weight(q) for q in phones]
         del_costs = [scales.d * w for w in self._del_weights]
 
-        pron_costs = np.full(int(codes.counts.sum()), np.inf)
+        pron_costs = np.full(len(codes.lengths), np.inf)
         for positions, block in blocks:
             subs = (row[block] for row in sub)
             pron_costs[positions] = rewrite_costs(len(positions), ins[block], subs, del_costs)
-        return np.minimum.reduceat(pron_costs, np.cumsum(codes.counts) - codes.counts)
+        return np.minimum.reduceat(pron_costs, codes.first[:-1])
 
 
 def rewrite_costs(width: int, ins, subs, dels) -> np.ndarray:
@@ -342,61 +341,6 @@ def rewrite_costs(width: int, ins, subs, dels) -> np.ndarray:
             np.minimum(cell, alt, out=cell)
         prev, cur = cur, prev
     return prev[m].copy()  # a copy frees both rows
-
-
-class PhoneCodes:
-    """The pronunciations of a run of candidates, encoded for :meth:`CostContext.score`.
-
-    ``phones`` lists the phone symbols in order of first use; a code, in the
-    smallest unsigned type that holds it, is an index into it.  Flat columns
-    hold each candidate's variant count (``counts``), each pronunciation's
-    length (``lengths``; candidate, then variant order) and every phone
-    (``codes``), with offsets ``first`` and ``starts``.  Beside them,
-    ``groups`` holds one ``(positions, block)`` pair per pronunciation
-    length m: their flat indices and ``(m, batch)`` codes, row j holding
-    every such pronunciation's j-th phone.
-    """
-
-    __slots__ = ("phones", "counts", "lengths", "codes", "first", "starts", "groups")
-
-    def __init__(self, prons_per_candidate: Sequence[Sequence[PhoneSeq]]):
-        counts = np.fromiter(map(len, prons_per_candidate), dtype=np.intp,
-                             count=len(prons_per_candidate))
-        if not counts.all():
-            raise NoPronunciation("candidate has no pronunciations")
-        prons = list(itertools.chain.from_iterable(prons_per_candidate))
-        self._fill(counts, *encode_phones(prons))
-
-    @classmethod
-    def from_columns(cls, phones: Sequence[str], counts: np.ndarray, lengths: np.ndarray,
-                     codes: np.ndarray) -> "PhoneCodes":
-        """Encoded from flat columns; ``phones`` must be in order of first use."""
-        self = cls.__new__(cls)
-        self._fill(counts, tuple(phones), lengths, codes)
-        return self
-
-    def _fill(self, counts, phones, lengths, codes) -> None:
-        self.phones = phones
-        self.counts = np.asarray(counts, dtype=np.intp)
-        self.lengths = np.asarray(lengths, dtype=np.intp)
-        self.codes = np.asarray(codes, dtype=np.min_scalar_type(max(len(phones) - 1, 0)))
-        self.first = np.concatenate(([0], np.cumsum(self.counts)))
-        self.starts = np.concatenate(([0], np.cumsum(self.lengths)))
-        order = np.argsort(self.lengths, kind="stable")
-        sizes = np.bincount(self.lengths)
-        self.groups = []
-        end = 0
-        for m in np.flatnonzero(sizes):
-            positions = order[end : end + sizes[m]]
-            end += sizes[m]
-            block = self.codes[self.starts[positions] + np.arange(m)[:, None]]
-            self.groups.append((positions, block))
-
-    def rows(self, index: int) -> list[list[int]]:
-        """Candidate ``index``'s pronunciations, each a list of codes."""
-        bounds = self.starts[self.first[index] : self.first[index + 1] + 1].tolist()
-        flat = self.codes[bounds[0] : bounds[-1]].tolist()
-        return [flat[a - bounds[0] : b - bounds[0]] for a, b in zip(bounds, bounds[1:])]
 
 
 def align(wake: PhoneSeq, cand: PhoneSeq, model: CostModel) -> DistanceBreakdown:

@@ -10,11 +10,11 @@ Dictionary files follow the common pronouncing-dictionary layout::
     TOMATO(2)  T AH0 M AA1 T OW2
 
 A loaded dictionary is columns (:class:`DictionaryColumns`): the words in
-file order, and per pronunciation (row) its word index, variant index and
-length, with every phone in one flat array of small integer codes, filled
-straight from the split lines.  Objects and phone tuples are built only on
-demand; a phrase's pronunciations are its words' rows joined end to end
-(:func:`phrase_rows`).
+file order, and per pronunciation (row) its word index and variant index,
+with the rows' lengths and phones in one :class:`PhoneCodes`, the flat
+layout every vocabulary is scored from, filled straight from the split
+lines.  Objects and phone tuples are built only on demand; a phrase's
+pronunciations are its words' rows joined end to end (:func:`phrase_rows`).
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from typing import IO, Iterable, Iterator, ItemsView, Sequence
 
 import numpy as np
 
-from .errors import OutOfVocabulary, ParseError, UnknownPhone
+from .errors import NoPronunciation, OutOfVocabulary, ParseError, UnknownPhone
 
 __all__ = [
     "DictionaryColumns",
     "Phone",
+    "PhoneCodes",
     "PhoneInventory",
     "Pronunciation",
     "PronouncingDictionary",
@@ -185,40 +186,98 @@ def encode_phones(prons: Sequence[PhoneSeq]) -> tuple[tuple[str, ...], np.ndarra
     return tuple(index), np.fromiter(map(len, prons), np.intp, count=len(prons)), codes
 
 
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Start offsets of consecutive runs of ``sizes``, plus the total at the end."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+class PhoneCodes:
+    """The pronunciations (rows) of a run of candidates as flat columns of codes.
+
+    ``phones`` lists the phone symbols in order of first use; a code, in the
+    smallest unsigned type that holds it, is an index into it.  ``counts``
+    holds each candidate's row count, ``lengths`` each row's length and
+    ``codes`` every row's phones, in candidate, then variant order; rows
+    ``first[k]:first[k + 1]`` are candidate k's, and codes
+    ``starts[r]:starts[r + 1]`` row r's.  ``groups``, built on first use and
+    kept, holds one ``(positions, block)`` pair per row length m: their row
+    indices and ``(m, batch)`` codes, row j holding every such row's j-th phone.
+    """
+
+    __slots__ = ("phones", "lengths", "codes", "first", "starts", "_groups")
+
+    def __init__(self, prons_per_candidate: Sequence[Sequence[PhoneSeq]]):
+        counts = np.fromiter(map(len, prons_per_candidate), np.intp, len(prons_per_candidate))
+        if not counts.all():
+            raise NoPronunciation("candidate has no pronunciations")
+        prons = list(itertools.chain.from_iterable(prons_per_candidate))
+        self._fill(counts, *encode_phones(prons))
+
+    @classmethod
+    def from_columns(cls, phones: Sequence[str], counts, lengths, codes) -> "PhoneCodes":
+        """Encoded from flat columns; ``phones`` must be in order of first use."""
+        self = cls.__new__(cls)
+        self._fill(counts, phones, lengths, codes)
+        return self
+
+    def _fill(self, counts, phones, lengths, codes) -> None:
+        self.phones = tuple(phones)
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        self.codes = np.asarray(codes, dtype=np.min_scalar_type(max(len(self.phones) - 1, 0)))
+        self.first = _offsets(counts)
+        self.starts = _offsets(self.lengths)
+        self._groups = None
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.first)
+
+    @property
+    def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._groups is None:
+            order = np.argsort(self.lengths, kind="stable")
+            runs = np.split(order, np.cumsum(np.bincount(self.lengths))[:-1])  # rows by length
+            self._groups = [(rows, self.codes[self.starts[rows] + np.arange(m)[:, None]])
+                            for m, rows in enumerate(runs) if len(rows)]
+        return self._groups
+
+    def rows(self, index: int) -> list[list[int]]:
+        """Candidate ``index``'s pronunciations, each a list of codes."""
+        lo, hi = self.first[index : index + 2].tolist()  # Python ints slice faster
+        bounds = self.starts[lo : hi + 1].tolist()
+        flat = self.codes[bounds[0] : bounds[-1]].tolist()
+        return [flat[a - bounds[0] : b - bounds[0]] for a, b in zip(bounds, bounds[1:])]
+
+    def decode(self, index: int) -> tuple[PhoneSeq, ...]:
+        """Candidate ``index``'s pronunciations, each a tuple of phones."""
+        phone = self.phones.__getitem__
+        return tuple([tuple(map(phone, row)) for row in self.rows(index)])
+
+
 class DictionaryColumns:
     """A dictionary's entries as columns; never changed once built.
 
     ``words`` lists the headwords in file order and ``ids`` maps each to
     its index.  The pronunciations are rows, grouped by word in word order
-    and by variant index within a word:
-
-    * ``word_ids`` -- the row's word index;
-    * ``variants`` -- its 1-based variant index, a Python int, since an
-      index need not fit in 64 bits;
-    * ``lengths`` -- its phone count;
-    * ``codes`` -- every row's phones, flat and in row order, each an
-      index into ``symbols`` in the smallest unsigned type that holds it.
-      ``symbols`` lists the phones in order of first use along the rows.
-
-    ``first[w]:first[w + 1]`` are word w's rows and ``starts[r]:starts[r + 1]``
-    row r's codes.  A word's phone tuples are decoded on first use and kept.
+    and by variant index within a word.  ``word_ids`` holds each row's word
+    index and ``variants`` its 1-based variant index, a Python int, since
+    an index need not fit in 64 bits.  ``codes`` is a :class:`PhoneCodes`
+    with one candidate per word.  A word's phone tuples are decoded on
+    first use and kept.
     """
 
-    __slots__ = ("words", "ids", "symbols", "word_ids", "variants", "lengths", "codes",
-                 "first", "starts", "_phones")
+    __slots__ = ("words", "ids", "word_ids", "variants", "codes", "_phones")
 
     def __init__(self, words: list[str], ids: dict[str, int], symbols: Iterable[str],
                  word_ids, variants: list[int], lengths, codes):
         self.words = words
         self.ids = ids
-        self.symbols = tuple(symbols)
         self.word_ids = np.asarray(word_ids, dtype=np.intp)
         self.variants = variants
-        self.lengths = np.asarray(lengths, dtype=np.intp)
-        self.codes = np.asarray(codes, dtype=np.min_scalar_type(max(len(self.symbols) - 1, 0)))
         sizes = np.bincount(self.word_ids, minlength=len(words))
-        self.first = np.concatenate(([0], np.cumsum(sizes)))
-        self.starts = np.concatenate(([0], np.cumsum(self.lengths)))
+        self.codes = PhoneCodes.from_columns(symbols, sizes, lengths, codes)
         self._phones: dict[int, tuple[PhoneSeq, ...]] = {}
 
     @classmethod
@@ -232,18 +291,14 @@ class DictionaryColumns:
 
     def variants_of(self, word_id: int) -> list[int]:
         """The variant indices of word ``word_id``, in order."""
-        return self.variants[self.first[word_id] : self.first[word_id + 1]]
+        first = self.codes.first
+        return self.variants[first[word_id] : first[word_id + 1]]
 
     def phones(self, word_id: int) -> tuple[PhoneSeq, ...]:
         """The phones of each variant of word ``word_id``, in variant order."""
         decoded = self._phones.get(word_id)
         if decoded is None:
-            starts = self.starts[self.first[word_id] : self.first[word_id + 1] + 1].tolist()
-            base = starts[0]
-            symbols = [self.symbols[c] for c in self.codes[base : starts[-1]].tolist()]
-            decoded = self._phones[word_id] = tuple(
-                tuple(symbols[a - base : b - base]) for a, b in zip(starts, starts[1:])
-            )
+            decoded = self._phones[word_id] = self.codes.decode(word_id)
         return decoded
 
     def rows(self) -> Iterator[tuple[int, int, PhoneSeq]]:
@@ -449,13 +504,12 @@ def _combinations(per_word: list, max_variants: int) -> list[tuple]:
     return list(itertools.islice(itertools.product(*per_word), max_variants))
 
 
-def phrase_rows(dictionary: PronouncingDictionary, words: list[str],
-                max_variants: int = MAX_PHRASE_VARIANTS) -> list[tuple[int, ...]]:
+def phrase_rows(dictionary: PronouncingDictionary, words: list[str]) -> list[tuple[int, ...]]:
     """The dictionary rows each pronunciation of a phrase joins, one tuple per
     variant combination.  A word without an entry raises :class:`OutOfVocabulary`."""
-    first = dictionary.columns.first
+    first = dictionary.columns.codes.first
     spans = [range(first[i], first[i + 1]) for i in map(dictionary._word_id, words)]
-    return _combinations(spans, max_variants)
+    return _combinations(spans, MAX_PHRASE_VARIANTS)
 
 
 def phrase_phones(dictionary: PronouncingDictionary, words: list[str],

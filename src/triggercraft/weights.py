@@ -114,9 +114,10 @@ def sample_probe_words(
     :class:`NoQualifyingWords`.
     """
     columns = dictionary.columns
+    codes = columns.codes
     # Each of ``phone``'s codes lies in the last row that starts at or before it.
-    hits = np.flatnonzero((np.array(columns.symbols, dtype=str) == phone)[columns.codes])
-    rows = np.searchsorted(columns.starts, hits, "right") - 1
+    hits = np.flatnonzero((np.array(codes.phones, dtype=str) == phone)[codes.codes])
+    rows = np.searchsorted(codes.starts, hits, "right") - 1
     qualifying = sorted(columns.words[w] for w in np.unique(columns.word_ids[rows]).tolist())
     if not qualifying:
         raise NoQualifyingWords(f"no dictionary word contains phone {phone!r}")

@@ -131,7 +131,7 @@ def test_added_variants_list_like_parsed_ones(rows):
         added.add(Pronunciation(word, variant, phones))
     reference = reference_load_dictionary(dictionary_file(rows))
     assert listing(added) == listing(reference)
-    assert added.columns.symbols == load_dictionary(dictionary_file(rows)).columns.symbols
+    assert added.columns.codes.phones == load_dictionary(dictionary_file(rows)).columns.codes.phones
 
 
 # Wake phones: the dictionary's four, two it never uses, and one outside
@@ -222,6 +222,8 @@ def test_phrase_rows_are_the_candidates_tune_built(vocabulary, phones, seed):
     assert vocab.labels == expected.labels
     assert vocab.normalized_labels == expected.normalized_labels
     assert codes_fields(vocab.codes) == codes_fields(expected.codes)
+    # With no new label the vocabulary shares the dictionary's codes.
+    assert (vocab.codes is dictionary.columns.codes) == (not extra)
     for idx, cand in enumerate(extra, len(words)):  # decoded from the joined rows
         assert vocab[idx].prons == cand.prons and vocab[idx].source == "trigger"
     rng = random.Random(seed)
