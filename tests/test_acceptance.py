@@ -352,11 +352,19 @@ def test_cli_outputs_match_golden_files(report, fixtures_dir, tmp_path):
             "--verification", str(fixtures_dir / "verification.jsonl"),
             "--adjudication", str(fixtures_dir / "adjudication.jsonl"),
         )
+        transcripts = str(fixtures_dir / "transcripts.txt")
+        run("rank", "--wake", "VA1", "--source", "transcripts", "--transcripts", transcripts)
+        run("ngrams", "--n", "2", "--transcripts", transcripts)
         for name in (
             "rank_VA1_dictionary.tsv",
             "manifest_VA1_dictionary.tsv",
             "tuning_report.tsv",
             "harness_summary.tsv",
+            "rank_VA1_1-gram.tsv",
+            "rank_VA1_2-gram.tsv",
+            "rank_VA1_3-gram.tsv",
+            "manifest_VA1_2-gram.tsv",
+            "ngrams_2.tsv",
         ):
             produced = (tmp_path / name).read_bytes()
             golden = (fixtures_dir / "golden" / name).read_bytes()
