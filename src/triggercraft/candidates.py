@@ -5,7 +5,9 @@ pulled from subtitle-style transcripts.  Ranking computes each candidate's
 distance to a wake word and keeps the top K, with a seeded draw to resolve
 candidates tied at the cut-off so the list size is exact and reproducible.
 A :class:`Vocabulary` keeps its candidates as columns, built once and read
-by every ranking and tuning pass against it.
+by every ranking and tuning pass against it.  Both sources are dictionary
+rows: a word's own, or a phrase's (an n-gram or a trigger phrase) joined
+from its words' rows by :func:`~triggercraft.lexicon.join_rows`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .lexicon import (
     PhoneSeq,
     PronouncingDictionary,
     WakeWordSpec,
-    phrase_phones,
-    phrase_rows,
+    join_rows,
+    normalize_word,
 )
 
 __all__ = [
@@ -78,8 +80,8 @@ class Vocabulary(Sequence):
     its :func:`normalize_label`, and ``codes`` one
     :class:`~triggercraft.lexicon.PhoneCodes` of all the pronunciations.
     Candidates given as objects are kept; any other :class:`Candidate` is
-    built from the columns when first accessed, then kept, so a ranking
-    builds only those it lists.
+    built from the columns, with its source and count, when first
+    accessed, then kept, so a ranking builds only those it lists.
     """
 
     __slots__ = ("labels", "normalized_labels", "codes", "_items")
@@ -95,25 +97,31 @@ class Vocabulary(Sequence):
                         triggers: Iterable[str] = ()) -> "Vocabulary":
         """One candidate per dictionary word, labelled in lower case, with all its
         variants; then, with source ``"trigger"``, each new normalized label of
-        ``triggers``: its words' rows joined (:func:`~triggercraft.lexicon.phrase_rows`)."""
+        ``triggers``: its words' rows joined (:func:`~triggercraft.lexicon.join_rows`).
+        A phrase word without an entry raises :class:`OutOfVocabulary`."""
         codes = dictionary.columns.codes
         labels = tuple(word.lower() for word in dictionary.columns.words)
         normalized = _normalized(labels)
         phrases = dict.fromkeys(map(normalize_label, triggers))
         known = set(normalized) if phrases else ()
         phrases = tuple(t for t in phrases if t not in known)
-        counts, lengths, flat = [codes.counts], [codes.lengths], [codes.codes]
-        for label in phrases:
-            rows = phrase_rows(dictionary, label.split())
-            counts.append([len(rows)])
-            lengths.append([sum(codes.lengths[r] for r in row) for row in rows])
-            flat += [codes.codes[codes.starts[r] : codes.starts[r + 1]]
-                     for row in rows for r in row]
-        vocab = cls.__new__(cls)
-        vocab._items = ["dictionary"] * len(labels) + ["trigger"] * len(phrases)
-        vocab.labels, vocab.normalized_labels = labels + phrases, normalized + phrases
-        vocab.codes = PhoneCodes.from_columns(
-            codes.phones, *map(np.concatenate, (counts, lengths, flat))) if phrases else codes
+        if phrases:
+            ids = dictionary.columns.ids
+            for label in phrases:
+                for word in label.split():
+                    if normalize_word(word) not in ids:
+                        raise OutOfVocabulary(f"no pronunciation for {word!r} in phrase {label!r}")
+            words = [[ids[normalize_word(word)] for word in label.split()] for label in phrases]
+            columns = zip((codes.counts, codes.lengths, codes.codes), join_rows(codes, words))
+            codes = PhoneCodes.from_columns(codes.phones, *map(np.concatenate, columns))
+        items = [("dictionary", 1)] * len(labels) + [("trigger", 1)] * len(phrases)
+        return cls._of_columns(labels + phrases, normalized + phrases, items, codes)
+
+    @classmethod
+    def _of_columns(cls, labels, normalized, items, codes: PhoneCodes) -> "Vocabulary":
+        vocab = cls.__new__(cls)  # ``items``: a (source, count) pair per candidate not built
+        vocab.labels, vocab.normalized_labels = labels, normalized
+        vocab._items, vocab.codes = items, codes
         return vocab
 
     @classmethod
@@ -134,10 +142,10 @@ class Vocabulary(Sequence):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
         item = self._items[index]
-        if isinstance(item, str):  # not built yet: its source
+        if isinstance(item, tuple):  # not built yet: its source and count
             index = range(len(self))[index]
             prons = self.codes.decode(index)
-            item = self._items[index] = Candidate(self.labels[index], prons, item)
+            item = self._items[index] = Candidate(self.labels[index], prons, *item)
         return item
 
 
@@ -278,34 +286,38 @@ def extract_ngrams(
     transcripts: Iterable[str],
     n: int,
     dictionary: PronouncingDictionary,
-) -> list[Candidate]:
-    """Sliding-window n-grams from transcript lines, as candidates.
+) -> Vocabulary:
+    """Sliding-window n-grams from transcript lines, as a vocabulary.
 
     Windows never cross line boundaries.  Tokens are lowercased with
-    punctuation stripped; duplicate n-grams are merged and counted.
-    N-grams containing an out-of-vocabulary word are dropped (a diagnostic
-    reports how many).
+    punctuation stripped; duplicate n-grams are merged and counted, and
+    kept in order of first appearance.  N-grams containing an
+    out-of-vocabulary word are dropped (a diagnostic reports how many).
+    An n-gram's pronunciations are its words' dictionary rows joined
+    (:func:`~triggercraft.lexicon.join_rows`); its :class:`Candidate`, with
+    source ``"<n>-gram"`` and its count, is built only when read.
     """
-    if n not in (1, 2, 3):
+    if isinstance(n, bool) or n not in (1, 2, 3):
         raise ValueError(f"n must be 1, 2, or 3, got {n}")
     counts: dict[str, int] = {}
+    tokens_seen: set[str] = set()
     for line in transcripts:
         tokens = [t for t in _TOKEN_PATTERN.findall(line.lower()) if t.strip("'")]
+        tokens_seen.update(tokens)
         for start in range(len(tokens) - n + 1):
             label = " ".join(tokens[start : start + n])
             counts[label] = counts.get(label, 0) + 1
-    out = []
-    dropped = 0
-    for label, count in counts.items():
-        try:
-            prons = phrase_phones(dictionary, label.split())
-        except OutOfVocabulary:
-            dropped += 1
-            continue
-        out.append(Candidate(label=label, prons=tuple(prons), source=f"{n}-gram", count=count))
-    if dropped:
-        log.warning("dropped %d out-of-vocabulary %d-grams", dropped, n)
-    return out
+    ids = dictionary.columns.ids
+    word_id = {token: ids.get(normalize_word(token)) for token in tokens_seen}  # None: OOV
+    phrases = {label: [word_id[token] for token in label.split()] for label in counts}
+    phrases = {label: words for label, words in phrases.items() if None not in words}
+    if len(phrases) < len(counts):
+        log.warning("dropped %d out-of-vocabulary %d-grams", len(counts) - len(phrases), n)
+    codes, labels = dictionary.columns.codes, tuple(phrases)  # labels are normalized already
+    stubs = {count: (f"{n}-gram", count) for count in set(counts.values())}  # one per count
+    items = [stubs[counts[label]] for label in labels]
+    joined = PhoneCodes.from_columns(codes.phones, *join_rows(codes, phrases.values()))
+    return Vocabulary._of_columns(labels, labels, items, joined)
 
 
 @dataclass(frozen=True)

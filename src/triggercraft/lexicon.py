@@ -13,8 +13,10 @@ A loaded dictionary is columns (:class:`DictionaryColumns`): the words in
 file order, and per pronunciation (row) its word index and variant index,
 with the rows' lengths and phones in one :class:`PhoneCodes`, the flat
 layout every vocabulary is scored from, filled straight from the split
-lines.  Objects and phone tuples are built only on demand; a phrase's
-pronunciations are its words' rows joined end to end (:func:`phrase_rows`).
+lines.  Objects and phone tuples are built only on demand.  A phrase's
+pronunciations are its words' rows joined end to end; :func:`join_rows`
+encodes phrases (trigger phrases and transcript n-grams alike) as code
+columns that index the dictionary's own phone symbols.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ __all__ = [
     "Pronunciation",
     "PronouncingDictionary",
     "WakeWordSpec",
+    "join_rows",
     "load_dictionary",
     "normalize_word",
     "parse_phone",
     "phrase_phones",
-    "phrase_rows",
 ]
 
 # A pronunciation is a tuple of stress-free phone symbols.
@@ -196,8 +198,8 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
 class PhoneCodes:
     """The pronunciations (rows) of a run of candidates as flat columns of codes.
 
-    ``phones`` lists the phone symbols in order of first use; a code, in the
-    smallest unsigned type that holds it, is an index into it.  ``counts``
+    A code, in the smallest unsigned type that holds it, indexes the symbols
+    ``phones`` (in order of first use when encoded from tuples).  ``counts``
     holds each candidate's row count, ``lengths`` each row's length and
     ``codes`` every row's phones, in candidate, then variant order; rows
     ``first[k]:first[k + 1]`` are candidate k's, and codes
@@ -217,7 +219,7 @@ class PhoneCodes:
 
     @classmethod
     def from_columns(cls, phones: Sequence[str], counts, lengths, codes) -> "PhoneCodes":
-        """Encoded from flat columns; ``phones`` must be in order of first use."""
+        """Encoded from flat columns; ``phones`` may list symbols no row uses, in any order."""
         self = cls.__new__(cls)
         self._fill(counts, phones, lengths, codes)
         return self
@@ -264,11 +266,10 @@ class DictionaryColumns:
     and by variant index within a word.  ``word_ids`` holds each row's word
     index and ``variants`` its 1-based variant index, a Python int, since
     an index need not fit in 64 bits.  ``codes`` is a :class:`PhoneCodes`
-    with one candidate per word.  A word's phone tuples are decoded on
-    first use and kept.
+    with one candidate per word, whose phone tuples it decodes on demand.
     """
 
-    __slots__ = ("words", "ids", "word_ids", "variants", "codes", "_phones")
+    __slots__ = ("words", "ids", "word_ids", "variants", "codes")
 
     def __init__(self, words: list[str], ids: dict[str, int], symbols: Iterable[str],
                  word_ids, variants: list[int], lengths, codes):
@@ -278,7 +279,6 @@ class DictionaryColumns:
         self.variants = variants
         sizes = np.bincount(self.word_ids, minlength=len(words))
         self.codes = PhoneCodes.from_columns(symbols, sizes, lengths, codes)
-        self._phones: dict[int, tuple[PhoneSeq, ...]] = {}
 
     @classmethod
     def from_rows(cls, words: list[str], ids: dict[str, int],
@@ -294,17 +294,10 @@ class DictionaryColumns:
         first = self.codes.first
         return self.variants[first[word_id] : first[word_id + 1]]
 
-    def phones(self, word_id: int) -> tuple[PhoneSeq, ...]:
-        """The phones of each variant of word ``word_id``, in variant order."""
-        decoded = self._phones.get(word_id)
-        if decoded is None:
-            decoded = self._phones[word_id] = self.codes.decode(word_id)
-        return decoded
-
     def rows(self) -> Iterator[tuple[int, int, PhoneSeq]]:
         """``(word id, variant, phones)`` of every row, in row order."""
         for word_id in range(len(self.words)):
-            for variant, phones in zip(self.variants_of(word_id), self.phones(word_id)):
+            for variant, phones in zip(self.variants_of(word_id), self.codes.decode(word_id)):
                 yield word_id, variant, phones
 
 
@@ -348,7 +341,7 @@ class PronouncingDictionary:
         cols = self.columns
         return [
             Pronunciation(cols.words[word_id], variant, phones)
-            for variant, phones in zip(cols.variants_of(word_id), cols.phones(word_id))
+            for variant, phones in zip(cols.variants_of(word_id), cols.codes.decode(word_id))
         ]
 
     def lookup(self, word: str) -> list[Pronunciation]:
@@ -360,7 +353,7 @@ class PronouncingDictionary:
 
     def variant_phones(self, word: str) -> tuple[PhoneSeq, ...]:
         """The phones of each variant of ``word``, in variant order, as :meth:`lookup`."""
-        return self.columns.phones(self._word_id(word))
+        return self.columns.codes.decode(self._word_id(word))
 
     def __contains__(self, word: str) -> bool:
         return normalize_word(word) in self.columns.ids
@@ -378,7 +371,7 @@ class PronouncingDictionary:
     def entry_map(self) -> dict[str, list[PhoneSeq]]:
         """Plain word -> list-of-phone-sequences view (for comparisons)."""
         cols = self.columns
-        return {w: list(cols.phones(i)) for i, w in enumerate(cols.words)}
+        return {w: list(cols.codes.decode(i)) for i, w in enumerate(cols.words)}
 
     def dump(self, stream: IO[str]) -> None:
         """Write the dictionary back out in its file format."""
@@ -504,16 +497,25 @@ def _combinations(per_word: list, max_variants: int) -> list[tuple]:
     return list(itertools.islice(itertools.product(*per_word), max_variants))
 
 
-def phrase_rows(dictionary: PronouncingDictionary, words: list[str]) -> list[tuple[int, ...]]:
-    """The dictionary rows each pronunciation of a phrase joins, one tuple per
-    variant combination.  A word without an entry raises :class:`OutOfVocabulary`."""
-    first = dictionary.columns.codes.first
-    spans = [range(first[i], first[i + 1]) for i in map(dictionary._word_id, words)]
-    return _combinations(spans, MAX_PHRASE_VARIANTS)
+def join_rows(codes: PhoneCodes, phrases: Iterable[Sequence[int]]) -> tuple[np.ndarray, ...]:
+    """The phrase encoder: ``(counts, lengths, codes)`` columns over ``codes.phones`` of
+    phrases of word ids: each row joins one row of each word, by the phrase rule."""
+    first = codes.first.tolist()
+    counts, parts, sizes = [], [], []  # rows per phrase; each row's word rows, and their number
+    for words in phrases:
+        combos = _combinations([range(first[w], first[w + 1]) for w in words], MAX_PHRASE_VARIANTS)
+        counts.append(len(combos))
+        sizes += [len(words)] * len(combos)
+        parts += itertools.chain.from_iterable(combos)
+    parts = np.array(parts, dtype=np.intp)
+    lengths = codes.lengths[parts]
+    ends = _offsets(lengths)  # where each part's codes start in the joined codes
+    flat = codes.codes[np.repeat(codes.starts[parts] - ends[:-1], lengths) + np.arange(ends[-1])]
+    return np.array(counts, dtype=np.intp), np.diff(ends[_offsets(sizes)]), flat
 
 
 def phrase_phones(dictionary: PronouncingDictionary, words: list[str],
                   max_variants: int = MAX_PHRASE_VARIANTS) -> list[PhoneSeq]:
-    """Concatenated pronunciations for a phrase: the rows of :func:`phrase_rows`, decoded."""
+    """Concatenated pronunciations for a phrase: the rows of :func:`join_rows`, decoded."""
     combos = _combinations([dictionary.variant_phones(w) for w in words], max_variants)
     return [tuple(itertools.chain.from_iterable(combo)) for combo in combos]

@@ -81,7 +81,7 @@ MAX_GRID_POINTS = 250_000
 class LabeledTrigger:
     """A phrase observed to trigger a wake word, with an optional count.
 
-    The label is kept normalized, as vocabulary labels are matched."""
+    The label is kept normalized, as vocabulary labels are matched; it may not be empty."""
 
     wake_id: str
     trigger_label: str
@@ -89,6 +89,8 @@ class LabeledTrigger:
 
     def __post_init__(self):
         object.__setattr__(self, "trigger_label", normalize_label(self.trigger_label))
+        if not self.trigger_label:
+            raise ValueError("empty trigger label")
 
 
 def load_trigger_labels(lines: Iterable[str]) -> list[LabeledTrigger]:
@@ -106,7 +108,10 @@ def load_trigger_labels(lines: Iterable[str]) -> list[LabeledTrigger]:
                 times = int(count)
             except ValueError:  # also more digits than an int may be parsed from
                 raise ParseError(f"bad times_triggered {parts[2]!r}", lineno) from None
-        triggers.append(LabeledTrigger(parts[0].strip(), parts[1], times))
+        try:
+            triggers.append(LabeledTrigger(parts[0].strip(), parts[1], times))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     return triggers
 
 
@@ -456,22 +461,12 @@ def cross_validate(
         if wake_id not in wake_map:
             raise UnknownWakeWord(f"no wake word configured for id {wake_id!r}")
         held_out = per_wake_triggers[wake_id]
-        training = [
-            t
-            for other, ts in per_wake_triggers.items()
-            if other != wake_id
-            for t in ts
-        ]
-        if variant == "unweighted":
-            model = CostModel.unweighted()
-        else:
-            tuned = grid_search(
-                training, vocab, wakes, grid, variant, table, blocklists, ranks=ranks
-            )
-            if variant == "advanced":
-                model = CostModel.advanced(tuned.best, table)
-            else:
-                model = CostModel.simple(tuned.best)
+        training = [t for other, ts in per_wake_triggers.items() if other != wake_id for t in ts]
+        model = CostModel.unweighted()
+        if variant != "unweighted":
+            tuned = grid_search(training, vocab, wakes, grid, variant, table, blocklists,
+                                ranks=ranks)
+            model = CostModel(variant, tuned.best, table if variant == "advanced" else None)
         ranked = rank_candidates(
             vocab, wake_map[wake_id], model, k, seed + fold,
             blocklist=blocklists.get(wake_id, ()),

@@ -111,8 +111,10 @@ def sample_probe_words(
     Sampling is without replacement and deterministic for a given seed.
     When fewer than ``n_words`` words qualify, all of them are used and a
     diagnostic is logged; zero qualifying words raises
-    :class:`NoQualifyingWords`.
+    :class:`NoQualifyingWords`.  ``n_words`` and ``n_voices`` must be >= 1.
     """
+    if n_words < 1 or n_voices < 1:
+        raise ValueError(f"n_words and n_voices must be >= 1, got {n_words} and {n_voices}")
     columns = dictionary.columns
     codes = columns.codes
     # Each of ``phone``'s codes lies in the last row that starts at or before it.
@@ -273,10 +275,8 @@ def build_weight_table(
     rows: dict[str, dict[str, float]] = {}
     for (row, col), value in raw_sub.items():
         rows.setdefault(row, {})[col] = value
-    substitution: dict[tuple[str, str], float] = {}
-    for row, cols in rows.items():
-        for col, value in normalize_mean_one(cols).items():
-            substitution[(row, col)] = value
+    substitution = {(row, col): value for row, cols in rows.items()
+                    for col, value in normalize_mean_one(cols).items()}
 
     table = WeightTable(
         deletion=normalize_mean_one(raw_del),

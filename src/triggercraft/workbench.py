@@ -23,6 +23,7 @@ data errors (unparseable or inconsistent inputs).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
@@ -454,9 +455,8 @@ def cmd_ngrams(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     lines = _parse_file(args.transcripts, list)
     grams = extract_ngrams(lines, args.n, dictionary)
     body_lines = ["label\tcount\tpronunciations"]
-    for gram in grams:
-        prons = ";".join(" ".join(p) for p in gram.prons)
-        body_lines.append(f"{gram.label}\t{gram.count}\t{prons}")
+    for gram in grams:  # each candidate is decoded from the columns as it is read
+        body_lines.append(f"{gram.label}\t{gram.count}\t{';'.join(map(' '.join, gram.prons))}")
     writer.write(f"ngrams_{args.n}.tsv", "\n".join(body_lines) + "\n")
     return 0
 
@@ -473,20 +473,14 @@ def cmd_weights(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     if args.weights_action == "build":
         scores = _parse_file(args.scores, load_probe_scores)
         table = build_weight_table(scores, config.wake_words())
-        import io
-
         buffer = io.StringIO()
         store_weight_table(table, buffer)
         writer.write(args.table_name, buffer.getvalue())
         return 0
     # check
     table = _parse_file(args.table, load_weight_table)
-    print(
-        "ok: {} deletion, {} insertion, {} substitution entries over {} rows".format(
-            len(table.deletion), len(table.insertion),
-            len(table.substitution), len(table.row_phones),
-        )
-    )
+    print(f"ok: {len(table.deletion)} deletion, {len(table.insertion)} insertion, "
+          f"{len(table.substitution)} substitution entries over {len(table.row_phones)} rows")
     return 0
 
 
@@ -657,10 +651,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return 1
-    except OSError as exc:
-        log.error("%s", exc)
-        return 2
-    except TriggerCraftError as exc:
+    except (OSError, TriggerCraftError) as exc:
         log.error("%s", exc)
         return 2
 

@@ -522,6 +522,35 @@ def reference_phrase_phones(entries, words, max_variants=16) -> list[tuple[str, 
     return combos[:max_variants]
 
 
+def reference_extract_ngrams(entries, lines, n) -> tuple[list, int]:
+    """The n-grams of ``lines`` as candidates built one by one, and how many were dropped.
+
+    A token is a run of letters a-z and apostrophes in the lower-cased line,
+    unless it is apostrophes only.  Each line's windows of ``n`` tokens are
+    counted in order of first appearance; a window with a word missing from
+    ``entries`` (word -> Pronunciations) is dropped, and every other becomes
+    a candidate with its :func:`reference_phrase_phones`.
+    """
+    counts: dict[str, int] = {}
+    for line in lines:
+        tokens, run = [], ""
+        for ch in line.lower() + " ":
+            if "a" <= ch <= "z" or ch == "'":
+                run += ch
+                continue
+            if run.replace("'", ""):
+                tokens.append(run)
+            run = ""
+        for start in range(len(tokens) - n + 1):
+            label = " ".join(tokens[start:start + n])
+            counts[label] = counts.get(label, 0) + 1
+    kept = [(label, count) for label, count in counts.items()
+            if all(word.upper() in entries for word in label.split())]
+    candidates = [Candidate(label, tuple(reference_phrase_phones(entries, label.split())),
+                            f"{n}-gram", count) for label, count in kept]
+    return candidates, len(counts) - len(kept)
+
+
 def reference_sample_probe_words(dictionary, phone, n_words, seed) -> ProbePlan:
     """The probe plan by a walk over every word's looked-up variants."""
     qualifying = sorted(

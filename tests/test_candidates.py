@@ -22,7 +22,7 @@ from triggercraft.candidates import (
     rank_candidates,
 )
 from triggercraft.distance import CostContext, CostModel, align
-from triggercraft.errors import ConfigError, EmptyVocabulary
+from triggercraft.errors import ConfigError, EmptyVocabulary, OutOfVocabulary
 from triggercraft.lexicon import WakeWordSpec, load_dictionary
 
 UNWEIGHTED = CostModel.unweighted()
@@ -338,6 +338,10 @@ class TestVocabulary:
         assert shared.codes is shared.codes
         assert shared.normalized_labels is shared.normalized_labels
 
+    def test_unknown_phrase_word_names_the_word_and_the_phrase(self, mini_dictionary):
+        with pytest.raises(OutOfVocabulary, match="'xylophone' in phrase 'a xylophone'"):
+            Vocabulary.from_dictionary(mini_dictionary, ["lexus", "A  Xylophone"])
+
 
 class TestExtractNgrams:
     def test_sliding_window(self, mini_dictionary):
@@ -346,7 +350,7 @@ class TestExtractNgrams:
         assert all(c.source == "2-gram" for c in out)
 
     def test_line_too_short(self, mini_dictionary):
-        assert extract_ngrams(["my cereal"], 3, mini_dictionary) == []
+        assert list(extract_ngrams(["my cereal"], 3, mini_dictionary)) == []
 
     def test_window_count_per_line(self, mini_dictionary):
         # Six tokens, n=3: four windows before dedup.
@@ -380,9 +384,9 @@ class TestExtractNgrams:
         assert any("out-of-vocabulary" in r.message for r in caplog.records)
 
     def test_empty_input(self, mini_dictionary):
-        assert extract_ngrams([], 2, mini_dictionary) == []
+        assert list(extract_ngrams([], 2, mini_dictionary)) == []
 
-    @pytest.mark.parametrize("n", [0, 4])
+    @pytest.mark.parametrize("n", [0, 4, True])
     def test_n_out_of_range(self, n, mini_dictionary):
         with pytest.raises(ValueError):
             extract_ngrams(["the echo"], n, mini_dictionary)

@@ -1,13 +1,14 @@
 """The columnar pronouncing dictionary against the object-building reference.
 
-The parser, the dictionary vocabulary (with trigger phrases), the
-blocklist and the probe sampling each read the dictionary's columns; each
-is checked here against the per-line, per-variant objects of
-``tests/oracles.py``.
+The parser, the dictionary vocabulary (with trigger phrases), the n-gram
+vocabulary, the blocklist and the probe sampling each read the
+dictionary's columns; each is checked here against the per-line,
+per-variant objects of ``tests/oracles.py``.
 """
 
 import io
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     random_models,
     reference_blocklist,
     reference_dictionary_candidates,
+    reference_extract_ngrams,
     reference_load_dictionary,
     reference_phrase_phones,
     reference_sample_probe_words,
@@ -29,6 +31,7 @@ from triggercraft.candidates import (
     Vocabulary,
     build_blocklist,
     dictionary_candidates,
+    extract_ngrams,
     normalize_label,
     rank_candidates,
 )
@@ -232,6 +235,97 @@ def test_phrase_rows_are_the_candidates_tune_built(vocabulary, phones, seed):
         got = CostContext(phones, model).score(vocab.codes, keep)
         assert got.tobytes() == CostContext(phones, model).score(expected.codes, keep).tobytes()
     assert list(vocab) == list(expected)
+
+
+# Words the transcript tokenizer keeps whole: letters and apostrophes only.
+NGRAM_WORDS = ("a", "be", "cat", "don't", "echo", "o'er")
+# Tokens without an entry, and what may separate tokens on a line.
+OOV_TOKENS = ("zyzzyva", "q", "'", "it's", "don't'")
+SEPARATORS = (" ", "  ", ", ", "! ", " -- ", "\t", "3", "\u00e9", "'s ")
+
+
+@st.composite
+def ngram_corpora(draw):
+    """Dictionary rows of letter words with one to four variants each, and
+    transcript lines of those words in any case, out-of-vocabulary tokens
+    and punctuation."""
+    rows = []
+    for word in draw(st.lists(st.sampled_from(NGRAM_WORDS), min_size=1, unique=True)):
+        for variant in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True)):
+            phones = draw(st.lists(st.sampled_from(ALPHABET[:4]), min_size=1, max_size=4))
+            rows.append((word.upper(), variant, tuple(phones)))
+    words = sorted({row[0] for row in rows})
+    cased = st.builds(lambda word, case: case(word), st.sampled_from(words),
+                      st.sampled_from([str.lower, str.upper, str.title]))
+    token = cased | st.sampled_from(OOV_TOKENS)
+    line = st.lists(st.tuples(token, st.sampled_from(SEPARATORS)), max_size=8).map(
+        lambda pairs: "".join(token + sep for token, sep in pairs))
+    return rows, draw(st.lists(line, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=ngram_corpora(), n=st.integers(1, 3), phones=wake_phones,
+       seed=st.integers(0, 2**32 - 1))
+# Three words of three variants each: 27 combinations, past the cap of 16.
+@example(corpus=([(w, v, (p,) * v) for w, p in (("A", "AA"), ("BE", "B"), ("CAT", "K"))
+                  for v in (1, 2, 3)], ["A be, CAT!", "a BE cat zyzzyva"]),
+         n=3, phones=("AA", "K"), seed=0)
+def test_ngram_vocabulary_is_the_candidates_of_joined_phrases(corpus, n, phones, seed):
+    rows, lines = corpus
+    dictionary = load_dictionary(dictionary_file(rows))
+    expected, dropped = reference_extract_ngrams(
+        reference_load_dictionary(dictionary_file(rows)), lines, n)
+    with mock.patch.object(candidates.log, "warning") as warning:
+        vocab = extract_ngrams(lines, n, dictionary)
+    if dropped:
+        warning.assert_called_once_with("dropped %d out-of-vocabulary %d-grams", dropped, n)
+    else:
+        warning.assert_not_called()
+    assert vocab.labels == vocab.normalized_labels == tuple(c.label for c in expected)
+    if not expected:
+        assert len(vocab) == 0
+        return
+    reference = Vocabulary(expected)
+    rng = random.Random(seed)
+    keep = np.array([rng.random() < 0.8 for _ in range(len(vocab))])
+    models = random_models(rng, ALPHABET)
+    for model in models:
+        got = CostContext(phones, model).score(vocab.codes, keep)
+        assert got.tobytes() == CostContext(phones, model).score(reference.codes, keep).tobytes()
+    wake, k = WakeWordSpec(id="T", text="zz", phones=phones), rng.randint(1, len(expected))
+    for model in models:
+        assert (rank_candidates(vocab, wake, model, k, seed)
+                == rank_candidates(reference, wake, model, k, seed))
+    # Label, pronunciations (capped), source, count and order.
+    assert list(vocab) == expected
+
+
+def test_ngrams_build_candidates_only_for_what_is_read(fixtures_dir, monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(Candidate(*args, **kwargs))
+        return built[-1]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("phone tuples were built")
+
+    config = load_config(fixtures_dir / "config.json")
+    dictionary, wake, model = config.dictionary(), config.wake_word("VA1"), config.model("simple")
+    with open(fixtures_dir / "transcripts.txt", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    monkeypatch.setattr(candidates, "Candidate", counted)
+    monkeypatch.setattr(lexicon, "encode_phones", forbidden)  # no vocabulary is encoded again
+    with monkeypatch.context() as patched:
+        patched.setattr(lexicon.PhoneCodes, "decode", forbidden)
+        patched.setattr(PronouncingDictionary, "variant_phones", forbidden)
+        vocab = extract_ngrams(lines, 2, dictionary)
+    assert built == [] and len(vocab) > 3
+    assert Vocabulary.of(vocab) is vocab
+    ranked = rank_candidates(vocab, wake, model, k=3, seed=1)
+    assert built == [item.candidate for item in ranked.items] and len(built) == 3
+    assert rank_candidates(vocab, wake, model, k=3, seed=1) == ranked
+    assert len(built) == 3  # the second ranking reuses them
 
 
 @settings(max_examples=150, deadline=None)

@@ -98,6 +98,18 @@ class TestLoadTriggerLabels:
         out = load_trigger_labels(io.StringIO(self.HEADER + "VA1\tlexus\t 007 \n"))
         assert out == [LabeledTrigger("VA1", "lexus", 7)]
 
+    @pytest.mark.parametrize("label", [" ", "", " \x0b "], ids=["blank", "empty", "whitespace"])
+    def test_empty_label_names_its_line(self, label):
+        with pytest.raises(ParseError, match="empty trigger label") as err:
+            load_trigger_labels(io.StringIO(self.HEADER + f"VA1\tlexus\t1\nVA1\t{label}\t3\n"))
+        assert err.value.line == 3
+
+
+@pytest.mark.parametrize("label", ["", " ", "\t\n"])
+def test_labeled_trigger_rejects_an_empty_label(label):
+    with pytest.raises(ValueError, match="empty trigger label"):
+        LabeledTrigger("VA1", label)
+
 
 class TestGrid:
     def test_default_grid_size(self):

@@ -70,6 +70,11 @@ class TestSampleProbeWords:
         with pytest.raises(NoQualifyingWords):
             sample_probe_words(mini_dictionary, "ZH", n_words=3, seed=0)
 
+    @pytest.mark.parametrize("n_words, n_voices", [(0, 10), (-1, 10), (5, 0), (5, -2)])
+    def test_counts_below_one_rejected(self, mini_dictionary, n_words, n_voices):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            sample_probe_words(mini_dictionary, "AH", n_words, seed=0, n_voices=n_voices)
+
 
 class TestPlanRows:
     def test_row_expansion(self, mini_dictionary):

@@ -618,6 +618,26 @@ class TestTuneCommand:
         report = (out / "tuning_report.tsv").read_text()
         assert "kept\t4\tof\t4" in report
 
+    @pytest.mark.parametrize("label", [" ", ""], ids=["blank", "empty"])
+    def test_empty_trigger_label_is_a_data_error(self, config_path, tmp_path, caplog, label):
+        triggers = tmp_path / "triggers.tsv"
+        triggers.write_text(f"wake_id\ttrigger_label\ttimes_triggered\nVA1\t{label}\t3\n",
+                            encoding="utf-8")
+        code = main(["--config", config_path, "--out", str(tmp_path), "tune",
+                     "--triggers", str(triggers)])
+        assert code == 2
+        assert "line 2: empty trigger label" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    def test_unknown_trigger_word_is_a_data_error(self, config_path, tmp_path, caplog):
+        triggers = tmp_path / "triggers.tsv"
+        triggers.write_text("wake_id\ttrigger_label\ttimes_triggered\nVA1\ta Xylophone\t3\n",
+                            encoding="utf-8")
+        code = main(["--config", config_path, "--out", str(tmp_path), "tune",
+                     "--triggers", str(triggers)])
+        assert code == 2
+        assert "'xylophone' in phrase 'a xylophone'" in caplog.text
+
     def test_advanced_loocv_report_matches_golden(self, config_path, tmp_path, fixtures_dir):
         out = run(config_path, tmp_path / "out", "tune",
                   "--triggers", str(fixtures_dir / "triggers.tsv"),
