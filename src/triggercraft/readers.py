@@ -1,5 +1,6 @@
 """Readers shared by the parsers: checked JSON values (measurement logs,
-config) and headed tab-separated files (trigger labels, probe scores)."""
+config), numbers written as text (TSV files, CLI options) and headed
+tab-separated files (trigger labels, probe scores)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Iterable, Iterator
 
 from .errors import ParseError
 
-__all__ = ["finite_number", "string", "tsv_rows", "whole_number"]
+__all__ = ["finite_number", "string", "text_integer", "text_number", "tsv_rows", "whole_number"]
 
 
 def string(value, key: str) -> str:
@@ -38,6 +39,27 @@ def whole_number(value, key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{key} must be a whole number, got {value!r}")
+
+
+def text_integer(text: str, key: str, signed: bool = False) -> int:
+    """An integer written in ASCII digits, after a ``-`` only if ``signed``; nothing else."""
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than an int may be parsed from
+            pass
+    raise ValueError(f"{key} must be an integer, got {text!r}")
+
+
+def text_number(text: str, key: str) -> float:
+    """A number as ``float`` reads it, written in ASCII without ``_``; nothing else."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be a number, got {text!r}")
 
 
 def tsv_rows(lines: Iterable[str], header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:

@@ -49,7 +49,7 @@ from .errors import (
     UnknownWakeWord,
 )
 from .lexicon import WakeWordSpec
-from .readers import tsv_rows
+from .readers import text_integer, tsv_rows
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -99,16 +99,9 @@ def load_trigger_labels(lines: Iterable[str]) -> list[LabeledTrigger]:
     for lineno, parts in tsv_rows(lines, _TRIGGER_HEADER, "trigger-label"):
         if len(parts) not in (2, 3):
             raise ParseError(f"expected 2 or 3 tab-separated fields, got {len(parts)}", lineno)
-        times: int | None = None
         count = parts[2].strip() if len(parts) == 3 else ""
-        if count:
-            try:
-                if not (count.isascii() and count.isdigit()):
-                    raise ValueError
-                times = int(count)
-            except ValueError:  # also more digits than an int may be parsed from
-                raise ParseError(f"bad times_triggered {parts[2]!r}", lineno) from None
         try:
+            times = text_integer(count, "times_triggered") if count else None
             triggers.append(LabeledTrigger(parts[0].strip(), parts[1], times))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None

@@ -38,7 +38,7 @@ from .errors import (
     ZeroMean,
 )
 from .lexicon import PronouncingDictionary, WakeWordSpec
-from .readers import tsv_rows
+from .readers import text_integer, text_number, tsv_rows
 
 __all__ = [
     "ProbePlan",
@@ -69,7 +69,7 @@ class ProbeScore:
     edit: str  # "delete" | "insert" | "substitute"
     target: str | None  # replacement phone for substitutions, else None
     word: str
-    voice: int
+    voice: int  # numbered from 1, as a probe plan numbers them
     score_delta: float
 
     def __post_init__(self):
@@ -85,6 +85,8 @@ class ProbeScore:
             if symbol.startswith("#"):
                 # A weight table would read its line as a comment.
                 raise ValueError(f"{name} {symbol!r} begins with '#'")
+        if self.voice < 1:
+            raise ValueError(f"voice {self.voice!r} is below 1")
         if not math.isfinite(self.score_delta):
             raise ValueError(f"score_delta {self.score_delta!r} is not finite")
 
@@ -155,8 +157,10 @@ def load_probe_scores(lines: Iterable[str]) -> list[ProbeScore]:
     """Parse a tab-separated probe-score file (header required).
 
     A line with an empty or whitespace-padded phone or target, or one that
-    begins with ``#``, or a score delta that is not finite, or a second
-    score for one cell, is a :class:`ParseError` naming it.
+    begins with ``#``, a voice that is not an integer of ASCII digits from
+    1 up (:func:`readers.text_integer`), a score delta that is not a finite
+    :func:`readers.text_number`, or a second score for one cell, is a
+    :class:`ParseError` naming it.
     """
     scores = []
     first_line: dict[tuple, int] = {}
@@ -170,8 +174,8 @@ def load_probe_scores(lines: Iterable[str]) -> list[ProbeScore]:
                 edit=edit,
                 target=None if target == "-" else target,
                 word=word,
-                voice=int(voice),
-                score_delta=float(delta),
+                voice=text_integer(voice, "voice"),
+                score_delta=text_number(delta, "score_delta"),
             )
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
@@ -310,8 +314,9 @@ def store_weight_table(table: WeightTable, stream: IO[str]) -> None:
 def load_weight_table(lines: Iterable[str]) -> WeightTable:
     """Parse a stored weight table and check its invariants.
 
-    Structural problems and invariant violations (negative weights, a
-    section mean drifting from 1.0) raise :class:`FormatError`.
+    Structural problems, a weight that is not a :func:`readers.text_number`,
+    and invariant violations (negative weights, a section mean drifting
+    from 1.0) raise :class:`FormatError`.
     """
     deletion: dict[str, float] = {}
     insertion: dict[str, float] = {}
@@ -337,13 +342,13 @@ def load_weight_table(lines: Iterable[str]) -> WeightTable:
                     )
                 key = (parts[0], parts[1])
                 target = substitution
-                value = float(parts[2])
+                value = text_number(parts[2], "weight")
             else:
                 if len(parts) != 2:
                     raise FormatError(f"line {lineno}: {section} rows need 'PHONE<TAB>weight'")
                 key = parts[0]
                 target = deletion if section == "deletion" else insertion
-                value = float(parts[1])
+                value = text_number(parts[1], "weight")
         except ValueError:
             raise FormatError(f"line {lineno}: bad weight value in {line!r}") from None
         if key in target:

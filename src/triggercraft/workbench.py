@@ -26,7 +26,6 @@ import argparse
 import io
 import json
 import logging
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -57,7 +56,7 @@ from .lexicon import (
     load_dictionary,
     parse_phone,
 )
-from .readers import finite_number, string, whole_number
+from .readers import finite_number, string, text_integer, whole_number
 from .tuning import (
     Grid,
     TriggerRanks,
@@ -122,14 +121,8 @@ class WorkbenchConfig:
     def dictionary(self) -> PronouncingDictionary:
         if self._dictionary is None:
             inventory = self.inventory()
-            try:
-                self._dictionary = _parse_file(
-                    self.dictionary_path, lambda lines: load_dictionary(lines, inventory)
-                )
-            except OSError as exc:
-                raise ConfigError(f"cannot read dictionary: {exc}") from None
-            except TriggerCraftError as exc:
-                raise ConfigError(f"bad dictionary file: {exc}") from None
+            self._dictionary = _load(self.dictionary_path, "dictionary file",
+                                     lambda lines: load_dictionary(lines, inventory))
         return self._dictionary
 
     def vocabulary(self) -> Vocabulary:
@@ -140,20 +133,12 @@ class WorkbenchConfig:
 
     def wake_words(self) -> list[WakeWordSpec]:
         if self._wake_words is None:
-            try:
-                with open(self.wake_words_path, encoding="utf-8") as fh:
-                    raw = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read wake words: {exc}") from None
-            except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
-                raise ConfigError(f"bad wake-word file: {exc}") from None
+            raw = _load(self.wake_words_path, "wake-word file", json.load)
             if not isinstance(raw, list):
                 raise ConfigError("wake-word file must hold a JSON list of entries")
             inventory = self.inventory()
-            try:
-                specs = [_wake_word(entry, inventory) for entry in raw]
-            except (KeyError, ValueError, UnknownPhone) as exc:
-                raise ConfigError(f"bad wake-word entry: {exc!r}") from None
+            specs = _checked("wake-word entry", lambda entries: [_wake_word(e, inventory)
+                                                                 for e in entries], raw)
             if not specs:
                 raise ConfigError("wake-word file lists no wake words")
             self._wake_words = specs
@@ -170,12 +155,7 @@ class WorkbenchConfig:
         if self._weight_table is None:
             if self.weight_table_path is None:
                 raise ConfigError("this command needs a 'weight_table' entry in the config")
-            try:
-                self._weight_table = _parse_file(self.weight_table_path, load_weight_table)
-            except OSError as exc:
-                raise ConfigError(f"cannot read weight table: {exc}") from None
-            except TriggerCraftError as exc:
-                raise ConfigError(f"bad weight table: {exc}") from None
+            self._weight_table = _load(self.weight_table_path, "weight table", load_weight_table)
         return self._weight_table
 
     def model(self, variant: str) -> CostModel:
@@ -209,105 +189,98 @@ def _wake_word(entry, inventory: PhoneInventory) -> WakeWordSpec:
     )
 
 
-def _parse_scales(raw) -> ScaleFactors:
-    try:
-        return ScaleFactors(*(finite_number(raw[key], key) for key in ("s", "d", "i")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'scales' entry: {exc!r}") from None
+def _scales(raw) -> ScaleFactors:
+    return ScaleFactors(*(finite_number(raw[key], key) for key in ("s", "d", "i")))
 
 
-def _parse_grid(raw) -> Grid:
-    if raw is None:
-        return Grid.default()
+def _grid(raw) -> Grid:
     if isinstance(raw, str):
-        preset = GRID_PRESETS.get(raw)
-        if preset is None:
-            raise ConfigError(f"unknown grid preset {raw!r}; known: {sorted(GRID_PRESETS)}")
-        return preset()
-    try:
-        # Floats, NaN and inf among them, are left to the grid's own checks.
-        grid = Grid(*(raw[key] if type(raw[key]) is float else finite_number(raw[key], key)
-                      for key in ("lo", "hi", "step")))
-        grid.point_count()  # checks the axis and the size cap, allocating nothing
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'grid' entry: {exc!r}") from None
+        if raw not in GRID_PRESETS:
+            raise ValueError(f"unknown grid preset {raw!r}; known: {sorted(GRID_PRESETS)}")
+        return GRID_PRESETS[raw]()
+    # Floats, NaN and inf among them, are left to the grid's own checks.
+    grid = Grid(*(raw[key] if type(raw[key]) is float else finite_number(raw[key], key)
+                  for key in ("lo", "hi", "step")))
+    grid.point_count()  # checks the axis and the size cap, allocating nothing
     return grid
 
 
-def _parse_voices(raw) -> tuple[Voice, ...]:
+def _voices(raw) -> tuple[Voice, ...]:
     if raw is None:
         return DEFAULT_VOICES
-    try:
-        return tuple(Voice(string(v["id"], "id"), string(v["kind"], "kind"),
-                           string(v["gender"], "gender")) for v in raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'voices' entry: {exc!r}") from None
+    return tuple(Voice(string(v["id"], "id"), string(v["kind"], "kind"),
+                       string(v["gender"], "gender")) for v in raw)
 
 
-def _parse_media_lengths(raw) -> dict[str, float]:
+def _media_lengths(raw) -> dict[str, float]:
     lengths = {}
-    try:
-        for media_id, value in raw.items():
-            # Lengths that are exact floats pass inline (NaN fails ``0 < x``);
-            # anything else goes to the checking helper.
-            if not (type(value) is float and 0 < value < math.inf):
-                value = finite_number(value, f"length of {media_id!r}")
-                if value <= 0:
-                    raise ValueError(f"length of {media_id!r} must be > 0, got {value!r}")
-            lengths[media_id] = value
-    except (AttributeError, ValueError) as exc:
-        raise ConfigError(f"bad 'media_lengths' entry: {exc!r}") from None
+    for media_id, value in raw.items():
+        lengths[media_id] = finite_number(value, f"length of {media_id!r}")
+        if lengths[media_id] <= 0:
+            raise ValueError(f"length of {media_id!r} must be > 0, got {value!r}")
     return lengths
 
 
-# Config entries that name a file or directory, relative to the config.
-_PATH_KEYS = ("dictionary", "wake_words", "weight_table", "inventory", "out_dir")
+def _checked(what: str, read, value):
+    """``read(value)``; a value that fails ``read``'s checks is a
+    :class:`ConfigError` (exit 1) that names it as ``what``."""
+    try:
+        return read(value)
+    except (AttributeError, KeyError, TypeError, ValueError, UnknownPhone) as exc:
+        raise ConfigError(f"bad {what}: {exc!r}") from None
 
 
 def load_config(path: str | Path) -> WorkbenchConfig:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # also a too-long integer, deep nesting
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    raw = _load(path, "config", json.load)
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     raw = {key: value for key, value in raw.items() if value is not None}  # null means absent
     base = path.parent
-    try:
-        paths = {key: base / string(raw[key], key) for key in _PATH_KEYS if key in raw}
-        top_k = whole_number(raw.get("top_k", 100), "top_k")
-        seed = whole_number(raw.get("seed", 0), "seed")
-    except ValueError as exc:
-        raise ConfigError(f"bad config entry: {exc}") from None
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
-    def resolve(key: str, required: bool = True) -> Path | None:
-        resolved = paths.get(key)
-        if resolved is None:
+    def entry(key: str, read, default=None):
+        return _checked(f"{key!r} entry", read, raw.get(key, default))
+
+    def file(key: str, required: bool = False) -> Path | None:
+        """The existing file the ``key`` entry names, relative to the config."""
+        if key not in raw:
             if required:
                 raise ConfigError(f"config is missing {key!r}")
             return None
-        if not resolved.exists():
-            raise ConfigError(f"{key} file does not exist: {resolved}")
-        return resolved
+        named = entry(key, lambda value: base / string(value, key))
+        if not named.exists():
+            raise ConfigError(f"{key} file does not exist: {named}")
+        return named
 
+    top_k = entry("top_k", lambda value: whole_number(value, "top_k"), 100)
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
     return WorkbenchConfig(
-        dictionary_path=resolve("dictionary"),
-        wake_words_path=resolve("wake_words"),
-        weight_table_path=resolve("weight_table", required=False),
-        inventory_path=resolve("inventory", required=False),
-        scales=_parse_scales(raw.get("scales", {"s": 1.0, "d": 1.0, "i": 1.0})),
-        grid=_parse_grid(raw.get("grid")),
+        dictionary_path=file("dictionary", required=True),
+        wake_words_path=file("wake_words", required=True),
+        weight_table_path=file("weight_table"),
+        inventory_path=file("inventory"),
+        scales=entry("scales", _scales, {"s": 1.0, "d": 1.0, "i": 1.0}),
+        grid=entry("grid", _grid, "default"),
         top_k=top_k,
-        seed=seed,
-        out_dir=paths.get("out_dir") or base / "out",
-        voices=_parse_voices(raw.get("voices")),
-        media_lengths=_parse_media_lengths(raw.get("media_lengths", {})),
+        seed=entry("seed", lambda value: whole_number(value, "seed"), 0),
+        out_dir=entry("out_dir", lambda value: base / string(value, "out_dir"), "out"),
+        voices=entry("voices", _voices),
+        media_lengths=entry("media_lengths", _media_lengths, {}),
     )
+
+
+def _load(path: Path, what: str, parse):
+    """``parse`` (``json.load`` for a JSON file) run over the config or a
+    file it names; any failure is a :class:`ConfigError` (exit 1)."""
+    try:
+        return _parse_file(path, parse)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except TriggerCraftError as exc:  # a text parser's, or a byte that is not UTF-8
+        raise ConfigError(f"bad {what}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # json.load's, also a long integer, deep nesting
+        raise ConfigError(f"bad {what}: not valid JSON: {exc}") from None
 
 
 def _parse_file(path, parse):
@@ -488,11 +461,11 @@ def cmd_probe_plan(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     if min(args.n_words, args.n_voices) < 1:
         raise ConfigError("--n-words and --n-voices must be at least 1")
     dictionary = config.dictionary()
-    if args.phones:
-        try:  # read as wake-word phones are
-            phones = [parse_phone(p, config.inventory()).symbol for p in args.phones]
-        except UnknownPhone as exc:
-            raise ConfigError(f"bad --phone: {exc}") from None
+    if args.phones:  # read as wake-word phones are; B and b1 are one phone, planned once
+        inventory = config.inventory()
+        symbols = _checked("--phone", lambda given: [parse_phone(p, inventory).symbol
+                                                     for p in given], args.phones)
+        phones = list(dict.fromkeys(symbols))
     else:
         phones = sorted({p for w in config.wake_words() for p in w.phones})
     lines = ["phone\tedit\ttarget\tword\tvoice"]
@@ -547,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Craft, rank, and analyze accidental wake-word triggers.",
     )
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=integer, help="override the config seed")
     parser.add_argument("--out", help="override the config output directory")
     parser.add_argument(
         "--no-timestamp", action="store_true",
@@ -574,13 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="grid-search the scale factors")
     p_tune.add_argument("--triggers", required=True, help="trigger-label TSV file")
     p_tune.add_argument("--variant", choices=("simple", "advanced"), default="simple")
-    p_tune.add_argument("--filter-threshold", type=int, default=500)
+    p_tune.add_argument("--filter-threshold", type=integer, default=500)
     p_tune.add_argument("--loocv", action="store_true", help="also cross-validate")
     p_tune.set_defaults(func=cmd_tune)
 
     p_ngrams = sub.add_parser("ngrams", help="extract n-gram candidates")
     p_ngrams.add_argument("--transcripts", required=True)
-    p_ngrams.add_argument("--n", type=int, choices=(1, 2, 3), required=True)
+    p_ngrams.add_argument("--n", type=integer, choices=(1, 2, 3), required=True)
     p_ngrams.set_defaults(func=cmd_ngrams)
 
     p_block = sub.add_parser("blocklist", help="print a wake word's blocklist")
@@ -604,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--phone", dest="phones", action="append",
         help="phone to probe (repeatable; default: all wake-word phones)",
     )
-    p_plan.add_argument("--n-words", type=int, default=100)
-    p_plan.add_argument("--n-voices", type=int, default=10)
+    p_plan.add_argument("--n-words", type=integer, default=100)
+    p_plan.add_argument("--n-voices", type=integer, default=10)
     p_plan.set_defaults(func=cmd_probe_plan)
 
     p_harness = sub.add_parser("harness", help="summarize measurement logs")
@@ -617,9 +590,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def integer(text: str) -> int:
+    """A CLI integer, read as :func:`readers.text_integer` reads a signed one."""
+    return text_integer(text, "value", signed=True)
+
+
 def _int_list(raw: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in raw.split(",") if part.strip())
+        values = tuple(integer(part.strip()) for part in raw.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {raw!r}") from None
     if not values or any(v not in (1, 2, 3) for v in values):

@@ -11,6 +11,7 @@ import io
 import json
 import logging
 import math
+import re
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,6 +41,7 @@ from triggercraft.lexicon import (
     PronouncingDictionary,
     load_dictionary,
 )
+from triggercraft.readers import text_integer, text_number
 from triggercraft.tuning import MAX_GRID_POINTS, load_trigger_labels
 from triggercraft.weights import (
     ProbeScore,
@@ -414,3 +416,31 @@ def test_config_values_are_read_strictly(tmp_path_factory, key, data):
         assert read_back[key] == written
         values = written.values() if isinstance(written, dict) else [written]
         assert not any(isinstance(v, bool) for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(-(10**60), 10**60), x=st.floats(allow_nan=False))
+def test_text_readers_read_back_what_str_writes(n, x):
+    assert text_integer(str(n), "n", signed=True) == n
+    assert text_integer(str(abs(n)), "n") == abs(n)
+    if n < 0:
+        with pytest.raises(ValueError, match="must be an integer"):
+            text_integer(str(n), "n")
+    assert text_number(repr(x), "x") == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(max_size=8) | st.from_regex("-?[0-9_]{1,4}(\\.[0-9]*)?", fullmatch=True))
+def test_text_readers_accept_only_ascii_without_underscores(text):
+    try:
+        n = text_integer(text, "n", signed=True)
+    except ValueError:
+        assert not re.fullmatch("-?[0-9]+", text)
+    else:
+        assert re.fullmatch("-?[0-9]+", text) and n == int(text)
+    try:
+        x = text_number(text, "x")
+    except ValueError:
+        return
+    assert text.isascii() and "_" not in text
+    assert repr(x) == repr(float(text))

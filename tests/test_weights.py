@@ -133,6 +133,24 @@ class TestLoadProbeScores:
         with pytest.raises(ParseError):
             load_probe_scores(io.StringIO(SCORE_HEADER + "AH\ttranspose\t-\tABOUT\t3\t0.1\n"))
 
+    # A voice is ASCII digits from 1 up, as a probe plan numbers them; a
+    # delta is an ASCII number without "_".
+    @pytest.mark.parametrize("voice,delta", [
+        ("1_0", "0.5"), ("\u0663", "0.5"), ("+3", "0.5"), (" 3", "0.5"), ("0", "0.5"),
+        ("-2", "0.5"), ("1", "1_0.5"), ("1", "\u0661"),
+    ], ids=["voice-underscore", "voice-arabic-digit", "voice-plus", "voice-space", "voice-zero",
+            "voice-negative", "delta-underscore", "delta-arabic-digit"])
+    def test_numbers_are_ascii_and_voices_count_from_one(self, voice, delta):
+        text = SCORE_HEADER + "AH\tdelete\t-\tABOUT\t1\t0.5\n"
+        text += f"AH\tinsert\t-\tABOUT\t{voice}\t{delta}\n"
+        with pytest.raises(ParseError) as err:
+            load_probe_scores(io.StringIO(text))
+        assert err.value.line == 3
+
+    def test_probe_score_voice_below_one_rejected(self):
+        with pytest.raises(ValueError, match="voice 0"):
+            score("AH", "delete", 0.5, voice=0)
+
 
 class TestAggregateWeights:
     def test_per_phone_mean(self):
@@ -304,6 +322,12 @@ class TestStoreLoadRoundTrip:
     )
     def test_structural_errors(self, text, needle):
         with pytest.raises(FormatError, match=needle):
+            load_weight_table(io.StringIO(text))
+
+    @pytest.mark.parametrize("weight", ["0_1", "\u0661", "1_0.0"])
+    def test_weight_is_an_ascii_number(self, weight):
+        text = f"[deletion]\nAA\t1.0\n[insertion]\nAA\t{weight}\n[substitution]\nAA\tB\t1.0\n"
+        with pytest.raises(FormatError, match="line 4: bad weight value"):
             load_weight_table(io.StringIO(text))
 
     def test_unnormalized_table_rejected(self):

@@ -358,6 +358,25 @@ class TestExitCodes:
         )
         assert code == 1
 
+    # Integer options are ASCII digits, as int() alone would not insist.
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "1_0", "rank", "--wake", "VA1"],
+        ["tune", "--triggers", "{fixtures}/triggers.tsv", "--filter-threshold", "5_0"],
+        ["ngrams", "--transcripts", "{fixtures}/transcripts.txt", "--n", "\u0662"],
+        ["probe-plan", "--phone", "B", "--n-words", "\u0663"],
+        ["probe-plan", "--phone", "B", "--n-voices", "+2"],
+        ["rank", "--wake", "VA1", "--source", "transcripts",
+         "--transcripts", "{fixtures}/transcripts.txt", "--ngram-sizes", "1,\u0662"],
+    ], ids=["seed", "filter-threshold", "n", "n-words", "n-voices", "ngram-sizes"])
+    def test_integer_options_are_ascii_digits(self, config_path, tmp_path, fixtures_dir, argv):
+        argv = [arg.format(fixtures=fixtures_dir) for arg in argv]
+        assert main(["--config", config_path, "--out", str(tmp_path / "out"), *argv]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_may_be_negative(self, config_path, tmp_path):
+        out = run(config_path, tmp_path, "--seed", "-3", "rank", "--wake", "VA1")
+        assert " seed=-3 " in (out / "rank_VA1_dictionary.tsv").read_text()
+
     def test_malformed_trigger_file(self, config_path, tmp_path):
         bad = tmp_path / "triggers.tsv"
         bad.write_text("wake_id\ttrigger_label\ttimes_triggered\nVA1\n", encoding="utf-8")
@@ -455,7 +474,9 @@ class TestExitCodes:
 HARNESS = ["harness", "--events", "{events}", "--verification", "{verification}",
            "--adjudication", "{adjudication}"]
 INPUT_FILES = {
+    "config": ([], ["--config", "{bad}", "blocklist", "--wake", "VA1"], 1),  # last --config wins
     "dictionary": (["dictionary"], ["blocklist", "--wake", "VA1"], 1),
+    "wake-words": (["wake_words"], ["blocklist", "--wake", "VA1"], 1),
     "inventory": (["inventory"], ["blocklist", "--wake", "VA1"], 2),
     "transcripts": ([], ["rank", "--wake", "VA1", "--source", "transcripts",
                          "--transcripts", "{bad}"], 2),
@@ -788,6 +809,16 @@ class TestProbePlanCommand:
         code = main(["--config", config_path, "--out", str(tmp_path),
                      "probe-plan", "--phone", "QX", "--n-words", "2"])
         assert code == 1  # not in the inventory
+
+    def test_repeated_phone_planned_once(self, config_path, tmp_path):
+        once = run(config_path, tmp_path / "once", "probe-plan", "--phone", "B",
+                   "--phone", "AH", "--n-words", "2") / "probe_plan.tsv"
+        repeated = run(config_path, tmp_path / "repeated", "probe-plan", "--phone", "B",
+                       "--phone", "b1", "--phone", "AH", "--phone", "B",
+                       "--n-words", "2") / "probe_plan.tsv"
+        rows = repeated.read_text().splitlines()
+        assert len(set(rows)) == len(rows)
+        assert repeated.read_bytes() == once.read_bytes()
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_word_count_below_one_is_a_usage_error(self, config_path, tmp_path, count):
