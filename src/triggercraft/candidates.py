@@ -177,7 +177,8 @@ def build_blocklist(
     always blocked, plus every dictionary word with a pronunciation that is
     a contiguous run of the wake word's phones (such words are the wake
     word, or a piece of it, by sound).  The pieces of each length m are
-    encoded and compared with the codes of the length-m pronunciations; a
+    encoded and compared with the ``(m, batch)`` block of the length-m
+    pronunciations in :attr:`~triggercraft.lexicon.PhoneCodes.groups`; a
     piece holding a phone the dictionary never uses matches nothing.
     """
     blocked = blocked_labels(wake)
@@ -187,17 +188,12 @@ def build_blocklist(
     wake_codes = [code_of.get(p) for p in wake.phones]
     n = len(wake_codes)
     hit = np.zeros(len(codes.lengths), dtype=bool)
-    for m in range(1, n + 1):
-        pieces = {tuple(wake_codes[i : i + m]) for i in range(n - m + 1)}
-        pieces = [piece for piece in pieces if None not in piece]
-        rows = np.flatnonzero(codes.lengths == m)
-        if not pieces or not len(rows):
-            continue
-        starts = codes.starts[rows]
-        phones = [codes.codes[starts + j] for j in range(m)]  # j-th phone of each row
-        for piece in pieces:
-            match = np.logical_and.reduce([column == code for column, code in zip(phones, piece)])
-            hit[rows[match]] = True
+    for rows, block in codes.groups:
+        m = len(block)
+        for piece in {tuple(wake_codes[i : i + m]) for i in range(n - m + 1)}:
+            if None not in piece:
+                match = np.logical_and.reduce([row == code for row, code in zip(block, piece)])
+                hit[rows[match]] = True
     for word_id in set(columns.word_ids[hit].tolist()):
         blocked.add(normalize_label(columns.words[word_id]))
     return blocked

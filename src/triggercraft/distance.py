@@ -269,20 +269,10 @@ class CostContext:
             weight = self._ins_weights[q] = self._weight("insertion", q)
         return weight
 
-    def cost(self, cand: PhoneSeq) -> float:
-        """Unnormalized optimal rewrite cost (the distance is ``cost / n``).
-
-        Bit-identical to the total :func:`align` computes for ``cand``.
-        """
-        return float(self.best_costs([(cand,)])[0])
-
     def best_cost(self, prons: Sequence[PhoneSeq]) -> float:
         """Minimum rewrite cost over a candidate's pronunciation variants."""
-        return float(self.best_costs([prons])[0])
-
-    def best_costs(self, prons_per_candidate: Sequence[Sequence[PhoneSeq]]) -> np.ndarray:
-        """Minimum rewrite cost over each candidate's variants, one float64 each."""
-        return self.score(PhoneCodes(prons_per_candidate))
+        # :meth:`score` of one candidate, kept as a method since perfbench/tracing.py wraps it.
+        return float(self.score(PhoneCodes([prons]))[0])
 
     def score(self, codes: PhoneCodes, keep: np.ndarray | None = None) -> np.ndarray:
         """Minimum rewrite cost of each encoded candidate; ``inf`` where not kept.

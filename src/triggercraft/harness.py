@@ -69,7 +69,6 @@ WINDOW_AFTER_S = 3.0
 MAX_REPLAYS = 10
 
 REVIEW_LABELS = ("accidental", "wake-word-present", "related-word")
-RESOLUTIONS = ("accidental", "discarded", "needs-review")
 BINS = ("none", "low", "medium", "high")
 
 
@@ -92,6 +91,8 @@ class VerificationResult:
     hits: int = 0
 
     def __post_init__(self):
+        if type(self.replays) is not int or type(self.hits) is not int:  # bool is not a count
+            raise ValueError(f"replays={self.replays!r} and hits={self.hits!r} must be ints")
         if not 1 <= self.replays <= MAX_REPLAYS:
             raise ValueError(f"replays={self.replays} outside 1..{MAX_REPLAYS}")
         if not 0 <= self.hits <= self.replays:
@@ -265,7 +266,7 @@ def verification_window(event: TriggerEvent, media_len_s: float) -> tuple[float,
 
 def bin_reproducibility(hits: int) -> str:
     """Map a 0-10 replay hit count to its reproducibility bin."""
-    if not isinstance(hits, int) or not 0 <= hits <= MAX_REPLAYS:
+    if type(hits) is not int or not 0 <= hits <= MAX_REPLAYS:
         raise OutOfRange(f"hit count {hits!r} outside 0..{MAX_REPLAYS}")
     if hits == 0:
         return "none"
@@ -455,10 +456,7 @@ def summarize(analyses: Sequence[TriggerAnalysis]) -> Summary:
         speaker_bins = bins.get(speaker)
         if speaker_bins is None:
             speaker_bins = bins[speaker] = dict.fromkeys(BINS, 0)
-        hits = verification.hits
-        # Only a plain int indexes the table; anything else keeps the
-        # checks (and errors) of bin_reproducibility.
-        speaker_bins[bin_of[hits] if type(hits) is int else bin_reproducibility(hits)] += 1
+        speaker_bins[bin_of[verification.hits]] += 1
         observation = analysis.observation
         if observation is not None:
             speaker_act = activation.get(speaker)

@@ -489,21 +489,18 @@ class WakeWordSpec:
 MAX_PHRASE_VARIANTS = 16
 
 
-def _combinations(per_word: list, max_variants: int) -> list[tuple]:
-    """The phrase rule: the product of per-word variants in variant order, truncated
-    to ``max_variants``, so the all-first-variants combination always survives."""
-    if not per_word:
-        raise ValueError("empty phrase")
-    return list(itertools.islice(itertools.product(*per_word), max_variants))
-
-
 def join_rows(codes: PhoneCodes, phrases: Iterable[Sequence[int]]) -> tuple[np.ndarray, ...]:
     """The phrase encoder: ``(counts, lengths, codes)`` columns over ``codes.phones`` of
-    phrases of word ids: each row joins one row of each word, by the phrase rule."""
+    phrases of word ids.  The phrase rule: a phrase's rows are the product of its
+    words' rows in variant order, each joining one row of each word, truncated to
+    :data:`MAX_PHRASE_VARIANTS`, so the all-first-variants row always survives."""
     first = codes.first.tolist()
     counts, parts, sizes = [], [], []  # rows per phrase; each row's word rows, and their number
     for words in phrases:
-        combos = _combinations([range(first[w], first[w + 1]) for w in words], MAX_PHRASE_VARIANTS)
+        if not words:
+            raise ValueError("empty phrase")
+        rows = [range(first[w], first[w + 1]) for w in words]
+        combos = list(itertools.islice(itertools.product(*rows), MAX_PHRASE_VARIANTS))
         counts.append(len(combos))
         sizes += [len(words)] * len(combos)
         parts += itertools.chain.from_iterable(combos)
@@ -514,8 +511,8 @@ def join_rows(codes: PhoneCodes, phrases: Iterable[Sequence[int]]) -> tuple[np.n
     return np.array(counts, dtype=np.intp), np.diff(ends[_offsets(sizes)]), flat
 
 
-def phrase_phones(dictionary: PronouncingDictionary, words: list[str],
-                  max_variants: int = MAX_PHRASE_VARIANTS) -> list[PhoneSeq]:
+def phrase_phones(dictionary: PronouncingDictionary, words: list[str]) -> list[PhoneSeq]:
     """Concatenated pronunciations for a phrase: the rows of :func:`join_rows`, decoded."""
-    combos = _combinations([dictionary.variant_phones(w) for w in words], max_variants)
-    return [tuple(itertools.chain.from_iterable(combo)) for combo in combos]
+    codes = dictionary.columns.codes
+    phrase = [dictionary._word_id(word) for word in words]
+    return list(PhoneCodes.from_columns(codes.phones, *join_rows(codes, [phrase])).decode(0))

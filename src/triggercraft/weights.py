@@ -58,7 +58,6 @@ log = logging.getLogger(__name__)
 EDIT_KINDS = ("delete", "insert", "substitute")
 
 _SCORE_HEADER = ["phone", "edit", "target", "word", "voice", "score_delta"]
-_PLAN_HEADER = ["phone", "edit", "target", "word", "voice"]
 
 
 @dataclass(frozen=True)

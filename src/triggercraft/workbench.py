@@ -208,8 +208,10 @@ def _grid(raw) -> Grid:
 def _voices(raw) -> tuple[Voice, ...]:
     if raw is None:
         return DEFAULT_VOICES
-    return tuple(Voice(string(v["id"], "id"), string(v["kind"], "kind"),
-                       string(v["gender"], "gender")) for v in raw)
+    voices = tuple(Voice(string(v["id"], "id"), string(v["kind"], "kind"),
+                         string(v["gender"], "gender")) for v in raw)
+    cand_mod._validate_voices(voices)
+    return voices
 
 
 def _media_lengths(raw) -> dict[str, float]:
@@ -387,6 +389,8 @@ def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
 
 
 def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
+    if args.filter_threshold < 1:  # ranks start at 1, so no trigger would be kept
+        raise ConfigError("--filter-threshold must be at least 1")
     triggers = _parse_file(args.triggers, load_trigger_labels)
     dictionary = config.dictionary()
     # Triggers rank against the word list, so phrase triggers (and any

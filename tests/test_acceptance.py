@@ -36,6 +36,7 @@ from triggercraft.harness import (
     verification_window,
 )
 from triggercraft.lexicon import (
+    PhoneCodes,
     PhoneInventory,
     WakeWordSpec,
     load_dictionary,
@@ -81,7 +82,7 @@ def test_distance_matches_exhaustive_enumeration(report):
             cand = random_phones(rng, 0, 6)
             for model in random_models(rng):
                 expected = oracle_cost(wake, cand, model)
-                assert CostContext(wake, model).cost(cand) == expected
+                assert CostContext(wake, model).best_cost((cand,)) == expected
                 assert align(wake, cand, model).L == expected / len(wake)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -133,8 +134,8 @@ def test_weight_table_invariants_and_round_trip(report, probe_scores, wake_words
         for _ in range(50):
             wake = random_phones(rng, 1, 5, symbols)
             cand = random_phones(rng, 0, 6, symbols)
-            advanced = CostContext(wake, CostModel.advanced(scales, ones)).cost(cand)
-            assert advanced == CostContext(wake, CostModel.simple(scales)).cost(cand)
+            advanced = CostContext(wake, CostModel.advanced(scales, ones)).best_cost((cand,))
+            assert advanced == CostContext(wake, CostModel.simple(scales)).best_cost((cand,))
 
 
 def brute_force_search(triggers, vocab, wakes, grid, blocklists):
@@ -327,7 +328,7 @@ def test_large_vocabulary_ranking_under_budget(report, weight_table):
         # Batch invariance: bulk costs equal batches of one and the separate
         # backtracking DP, bit for bit.
         ctx = CostContext(wake.phones, model)
-        bulk = ctx.best_costs([c.prons for c in vocab])
+        bulk = ctx.score(PhoneCodes([c.prons for c in vocab]))
         for idx in random.Random(11).sample(range(len(vocab)), 2000):
             prons = vocab[idx].prons
             assert bulk[idx] == ctx.best_cost(prons)

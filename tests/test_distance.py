@@ -104,7 +104,7 @@ class TestOracleEquivalence:
             models = random_models(rng)
             expected = oracle_costs(wake, cand, models)
             for model, raw in zip(models, expected):
-                assert CostContext(wake, model).cost(cand) == raw
+                assert CostContext(wake, model).best_cost((cand,)) == raw
                 assert align(wake, cand, model).L == raw / len(wake)
 
     def test_empty_candidate_is_all_deletions(self):
@@ -229,7 +229,7 @@ class TestCostContext:
             ctx = CostContext(wake, model)
             for _ in range(30):
                 cand = random_phones(rng, 0, 6)
-                assert ctx.cost(cand) == oracle_cost(wake, cand, model)
+                assert ctx.best_cost((cand,)) == oracle_cost(wake, cand, model)
 
     def test_best_cost_is_min_over_variants(self):
         rng = random.Random(18)
@@ -237,7 +237,7 @@ class TestCostContext:
         model = random_models(rng)[2]
         prons = [random_phones(rng, 1, 5) for _ in range(4)]
         ctx = CostContext(wake, model)
-        assert ctx.best_cost(prons) == min(ctx.cost(p) for p in prons)
+        assert ctx.best_cost(prons) == min(ctx.best_cost((p,)) for p in prons)
 
     def test_best_cost_requires_pronunciations(self):
         ctx = CostContext(("AA",), CostModel.unweighted())
@@ -258,8 +258,8 @@ class TestCostContext:
         model = CostModel.advanced(ScaleFactors(1.0, 1.0, 1.0), table)
         ctx = CostContext(("AA",), model)
         with caplog.at_level(logging.WARNING, logger="triggercraft.distance"):
-            first = ctx.cost(("K",))
-            second = ctx.cost(("K",))
+            first = ctx.best_cost((("K",),))
+            second = ctx.best_cost((("K",),))
         assert first == second == 1.0  # substitution fell back to weight 1
         relevant = [r for r in caplog.records if "falling back" in r.message]
         # One warning for the missing substitution pair, one for the missing
@@ -286,7 +286,7 @@ def test_best_costs_match_the_oracle(wake, candidates, seed):
     per_pron = {p: oracle_costs(wake, p, models) for prons in candidates for p in prons}
     for index, model in enumerate(models):
         expected = [min(per_pron[p][index] for p in prons) for prons in candidates]
-        assert CostContext(wake, model).best_costs(candidates).tolist() == expected
+        assert CostContext(wake, model).score(PhoneCodes(candidates)).tolist() == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,7 +306,7 @@ def test_masked_score_equals_best_costs_of_the_kept(wake, candidates, keep, seed
     kept = [prons for prons, flag in zip(candidates, keep) if flag]
     for model in random_models(random.Random(seed)):
         scored = CostContext(wake, model).score(codes, keep)
-        expected = CostContext(wake, model).best_costs(kept).tolist() if kept else []
+        expected = CostContext(wake, model).score(PhoneCodes(kept)).tolist() if kept else []
         assert scored[keep].tolist() == expected
         assert np.isinf(scored[~keep]).all()
 
@@ -329,7 +329,7 @@ class TestBulkWarnings:
         model = self.model_without("insertion", "T")
         vocab = [Candidate(f"c{i}", (("B", "IY") * (i % 3 + 1),)) for i in range(8)]
         with caplog.at_level(logging.WARNING, logger="triggercraft.distance"):
-            CostContext(self.WAKE.phones, model).best_costs([c.prons for c in vocab])
+            CostContext(self.WAKE.phones, model).score(PhoneCodes([c.prons for c in vocab]))
             rank_candidates(vocab, self.WAKE, model, k=3, seed=0)
         assert self.fallbacks(caplog) == []
 

@@ -6,6 +6,8 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triggercraft.errors import (
     EmptyInput,
@@ -284,6 +286,32 @@ class TestVerificationResult:
     def test_negative_hits(self):
         with pytest.raises(ValueError):
             VerificationResult(event(), hits=-1)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_is_not_a_count(self, flag):
+        with pytest.raises(ValueError):
+            VerificationResult(event(), hits=flag)
+        with pytest.raises(ValueError):
+            VerificationResult(event(), replays=flag, hits=0)
+        with pytest.raises(OutOfRange):
+            bin_reproducibility(flag)
+
+
+# Counts of every type a library caller might pass, in and out of range.
+COUNTS = st.one_of(st.integers(-2, 12), st.booleans(), st.floats(), st.integers(0, 10).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(replays=COUNTS, hits=COUNTS)
+def test_every_constructed_result_is_summarized_in_its_bin(replays, hits):
+    # A result that constructs holds int counts, so summarize bins it without
+    # error, as bin_reproducibility does.
+    try:
+        result = VerificationResult(event(), replays, hits)
+    except ValueError:
+        return
+    assert type(result.replays) is int and type(result.hits) is int
+    assert summarize([TriggerAnalysis(result)]).bins["VA1"][bin_reproducibility(hits)] == 1
 
 
 class TestClassifyActivation:

@@ -167,9 +167,6 @@ class TestPhrasePhones:
         )
         assert prons[0] == first
 
-    def test_cap_override(self, mini_dictionary):
-        assert len(phrase_phones(mini_dictionary, ["the", "a"], max_variants=3)) == 3
-
     def test_oov_word(self, mini_dictionary):
         with pytest.raises(OutOfVocabulary):
             phrase_phones(mini_dictionary, ["the", "xylophone"])

@@ -62,6 +62,16 @@ BAD_WAKE_ENTRIES = {
 }
 
 
+# Voice pools that break the pool rule, made from the default pool as JSON
+# entries: (mutation, the error it raises).
+BAD_VOICE_POOLS = {
+    "five-standard": (lambda v: v[:4] + [{"id": "s-x", "kind": "standard", "gender": "f"}]
+                      + v[5:], "4 standard and 6 wavenet"),
+    "gender-skew": (lambda v: [v[0], {**v[1], "gender": "f"}, *v[2:]], "half female, half male"),
+    "duplicate-id": (lambda v: [v[0], {**v[1], "id": v[0]["id"]}, *v[2:]], "unique"),
+}
+
+
 def write_config(tmp_path, fixtures_dir, **overrides):
     """Write a config into tmp_path with absolute fixture paths."""
     raw = {
@@ -256,6 +266,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(path)
         assert main(["--config", str(path), "blocklist", "--wake", "VA1"]) == 1
+
+    @pytest.mark.parametrize("mutate,message", BAD_VOICE_POOLS.values(), ids=BAD_VOICE_POOLS)
+    def test_bad_voice_pool_is_a_config_error(self, tmp_path, fixtures_dir, mutate, message):
+        pool = [{"id": v.id, "kind": v.kind, "gender": v.gender} for v in DEFAULT_VOICES]
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, fixtures_dir, voices=mutate(pool)))
+
+    def test_bad_voice_pool_refused_before_any_output(self, tmp_path, fixtures_dir, caplog):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = write_config(tmp_path, fixtures_dir, voices=[])
+        assert main(["--config", str(path), "--out", str(out), "rank", "--wake", "VA1"]) == 1
+        assert "voice pool must hold exactly 4 standard and 6 wavenet voices" in caplog.text
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("fields", BAD_WAKE_ENTRIES.values(), ids=BAD_WAKE_ENTRIES)
     def test_wake_word_entries_are_strict(self, tmp_path, fixtures_dir, fields):
@@ -622,6 +646,15 @@ class TestTuneCommand:
         assert "[per_wake_worst_rank]" in report
         assert "kept\t4\tof\t4" in report
         assert "[cross_validation_hits]" not in report
+
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_threshold_below_one_is_a_usage_error(self, config_path, tmp_path, fixtures_dir,
+                                                  threshold):
+        code = main(["--config", config_path, "--out", str(tmp_path), "tune",
+                     "--triggers", str(fixtures_dir / "triggers.tsv"),
+                     "--filter-threshold", threshold])
+        assert code == 1
+        assert not (tmp_path / "tuning_report.tsv").exists()
 
     def test_loocv_section(self, config_path, tmp_path, fixtures_dir):
         out = run(config_path, tmp_path / "out", "tune",
