@@ -56,11 +56,9 @@ from .tuning import (
     Grid,
     LabeledTrigger,
     TuningResult,
-    best_achievable_rank,
     cross_validate,
     filter_triggers,
     grid_search,
-    rank_of,
 )
 from .weights import (
     ProbePlan,

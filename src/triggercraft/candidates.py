@@ -99,14 +99,14 @@ class Vocabulary(Sequence):
         variants; then, with source ``"trigger"``, each new normalized label of
         ``triggers``: its words' rows joined (:func:`~triggercraft.lexicon.join_rows`).
         A phrase word without an entry raises :class:`OutOfVocabulary`."""
-        codes = dictionary.columns.codes
-        labels = tuple(word.lower() for word in dictionary.columns.words)
+        codes = dictionary.codes
+        labels = tuple(word.lower() for word in dictionary.words)
         normalized = _normalized(labels)
         phrases = dict.fromkeys(map(normalize_label, triggers))
         known = set(normalized) if phrases else ()
         phrases = tuple(t for t in phrases if t not in known)
         if phrases:
-            ids = dictionary.columns.ids
+            ids = dictionary.ids
             for label in phrases:
                 for word in label.split():
                     if normalize_word(word) not in ids:
@@ -159,6 +159,7 @@ def _normalized(labels: tuple[str, ...]) -> tuple[str, ...]:
 
 def dictionary_candidates(dictionary: PronouncingDictionary) -> list[Candidate]:
     """One candidate per dictionary word, with all its variants."""
+    # Kept since perfbench/tracing.py, its only non-test caller, wraps it.
     return list(Vocabulary.from_dictionary(dictionary))
 
 
@@ -182,8 +183,7 @@ def build_blocklist(
     piece holding a phone the dictionary never uses matches nothing.
     """
     blocked = blocked_labels(wake)
-    columns = dictionary.columns
-    codes = columns.codes
+    codes = dictionary.codes
     code_of = {symbol: code for code, symbol in enumerate(codes.phones)}
     wake_codes = [code_of.get(p) for p in wake.phones]
     n = len(wake_codes)
@@ -194,8 +194,8 @@ def build_blocklist(
             if None not in piece:
                 match = np.logical_and.reduce([row == code for row, code in zip(block, piece)])
                 hit[rows[match]] = True
-    for word_id in set(columns.word_ids[hit].tolist()):
-        blocked.add(normalize_label(columns.words[word_id]))
+    for word_id in set(dictionary.word_ids[hit].tolist()):
+        blocked.add(normalize_label(dictionary.words[word_id]))
     return blocked
 
 
@@ -303,13 +303,13 @@ def extract_ngrams(
         for start in range(len(tokens) - n + 1):
             label = " ".join(tokens[start : start + n])
             counts[label] = counts.get(label, 0) + 1
-    ids = dictionary.columns.ids
+    ids = dictionary.ids
     word_id = {token: ids.get(normalize_word(token)) for token in tokens_seen}  # None: OOV
     phrases = {label: [word_id[token] for token in label.split()] for label in counts}
     phrases = {label: words for label, words in phrases.items() if None not in words}
     if len(phrases) < len(counts):
         log.warning("dropped %d out-of-vocabulary %d-grams", len(counts) - len(phrases), n)
-    codes, labels = dictionary.columns.codes, tuple(phrases)  # labels are normalized already
+    codes, labels = dictionary.codes, tuple(phrases)  # labels are normalized already
     stubs = {count: (f"{n}-gram", count) for count in set(counts.values())}  # one per count
     items = [stubs[counts[label]] for label in labels]
     joined = PhoneCodes.from_columns(codes.phones, *join_rows(codes, phrases.values()))

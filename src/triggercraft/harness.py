@@ -169,20 +169,22 @@ def _json_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
 def _parse_event_fields(record: dict, lineno: int) -> TriggerEvent:
     # Values of the common exact JSON types pass inline; anything else goes
     # to the checking helper, which converts it or raises its message.
-    # ``x - x`` is 0.0 for a finite float only (inf and NaN give NaN).
+    # ``x - x`` is 0.0 for a finite float only (inf and NaN give NaN).  An
+    # ASCII string always encodes as UTF-8, and ``isascii`` reads a flag,
+    # so only a non-ASCII media or speaker pays for the helper's encode.
     try:
         ts = record["ts"]
         if type(ts) is not str:
             ts = string(ts, "ts")
         timestamp = datetime.fromisoformat(ts.replace("Z", "+00:00"))
         media_id = record["media"]
-        if type(media_id) is not str:
+        if type(media_id) is not str or not media_id.isascii():
             media_id = string(media_id, "media")
         progress = record["progress_s"]
         if type(progress) is not float or progress - progress != 0.0:
             progress = finite_number(progress, "progress_s")
         speaker = record["speaker"]
-        if type(speaker) is not str:
+        if type(speaker) is not str or not speaker.isascii():
             speaker = string(speaker, "speaker")
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad event record: {exc!r}", lineno) from None

@@ -9,14 +9,15 @@ Dictionary files follow the common pronouncing-dictionary layout::
     TOMATO  T AH0 M EY1 T OW2
     TOMATO(2)  T AH0 M AA1 T OW2
 
-A loaded dictionary is columns (:class:`DictionaryColumns`): the words in
-file order, and per pronunciation (row) its word index and variant index,
-with the rows' lengths and phones in one :class:`PhoneCodes`, the flat
-layout every vocabulary is scored from, filled straight from the split
-lines.  Objects and phone tuples are built only on demand.  A phrase's
-pronunciations are its words' rows joined end to end; :func:`join_rows`
-encodes phrases (trigger phrases and transcript n-grams alike) as code
-columns that index the dictionary's own phone symbols.
+A loaded dictionary (:class:`PronouncingDictionary`) is columns and
+nothing else: the words in file order, and per pronunciation (row) its
+word index and variant index, with the rows' lengths and phones in one
+:class:`PhoneCodes`, the flat layout every vocabulary is scored from,
+filled straight from the split lines.  It is never changed once loaded,
+and phone tuples are decoded only on demand.  A phrase's pronunciations
+are its words' rows joined end to end; :func:`join_rows` encodes phrases
+(trigger phrases and transcript n-grams alike) as code columns that index
+the dictionary's own phone symbols.
 """
 
 from __future__ import annotations
@@ -24,18 +25,16 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, ItemsView, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import NoPronunciation, OutOfVocabulary, ParseError, UnknownPhone
 
 __all__ = [
-    "DictionaryColumns",
     "Phone",
     "PhoneCodes",
     "PhoneInventory",
-    "Pronunciation",
     "PronouncingDictionary",
     "WakeWordSpec",
     "join_rows",
@@ -158,21 +157,6 @@ def normalize_word(word: str) -> str:
     return word.strip().upper()
 
 
-@dataclass(frozen=True)
-class Pronunciation:
-    """One pronunciation variant of a dictionary word."""
-
-    word: str
-    variant_index: int  # 1-based
-    phones: PhoneSeq
-
-    def __post_init__(self):
-        if not self.phones:
-            raise ValueError(f"empty pronunciation for {self.word!r}")
-        if self.variant_index < 1:
-            raise ValueError("variant_index is 1-based")
-
-
 class PhoneIndex(dict):
     """Phone symbol -> small integer code, assigned in order of first use."""
 
@@ -258,8 +242,8 @@ class PhoneCodes:
         return tuple([tuple(map(phone, row)) for row in self.rows(index)])
 
 
-class DictionaryColumns:
-    """A dictionary's entries as columns; never changed once built.
+class PronouncingDictionary:
+    """A pronouncing dictionary as columns; never changed once built.
 
     ``words`` lists the headwords in file order and ``ids`` maps each to
     its index.  The pronunciations are rows, grouped by word in word order
@@ -269,10 +253,11 @@ class DictionaryColumns:
     with one candidate per word, whose phone tuples it decodes on demand.
     """
 
-    __slots__ = ("words", "ids", "word_ids", "variants", "codes")
+    __slots__ = ("inventory", "words", "ids", "word_ids", "variants", "codes")
 
-    def __init__(self, words: list[str], ids: dict[str, int], symbols: Iterable[str],
-                 word_ids, variants: list[int], lengths, codes):
+    def __init__(self, inventory: PhoneInventory, words: list[str], ids: dict[str, int],
+                 symbols: Iterable[str], word_ids, variants: list[int], lengths, codes):
+        self.inventory = inventory
         self.words = words
         self.ids = ids
         self.word_ids = np.asarray(word_ids, dtype=np.intp)
@@ -280,106 +265,19 @@ class DictionaryColumns:
         sizes = np.bincount(self.word_ids, minlength=len(words))
         self.codes = PhoneCodes.from_columns(symbols, sizes, lengths, codes)
 
-    @classmethod
-    def from_rows(cls, words: list[str], ids: dict[str, int],
-                  rows: Iterable[tuple[int, int, PhoneSeq]]) -> "DictionaryColumns":
-        """Columns of ``(word id, variant, phones)`` rows listed in any order."""
-        rows = sorted(rows, key=lambda row: row[:2])
-        symbols, lengths, codes = encode_phones([row[2] for row in rows])
-        return cls(words, ids, symbols, [row[0] for row in rows], [row[1] for row in rows],
-                   lengths, codes)
-
-    def variants_of(self, word_id: int) -> list[int]:
-        """The variant indices of word ``word_id``, in order."""
-        first = self.codes.first
-        return self.variants[first[word_id] : first[word_id + 1]]
-
-    def rows(self) -> Iterator[tuple[int, int, PhoneSeq]]:
-        """``(word id, variant, phones)`` of every row, in row order."""
-        for word_id in range(len(self.words)):
-            for variant, phones in zip(self.variants_of(word_id), self.codes.decode(word_id)):
-                yield word_id, variant, phones
-
-
-class PronouncingDictionary:
-    """Maps normalized words to their pronunciation variants.
-
-    The entries live in :class:`DictionaryColumns` (``columns``): a few
-    arrays, not one object per pronunciation.  :meth:`lookup`,
-    :meth:`items` and :meth:`dump` build :class:`Pronunciation` objects on
-    demand; :meth:`variant_phones` returns plain phone tuples.  :meth:`add`
-    replaces the columns, so columns read before it stay as they were.
-    """
-
-    def __init__(self, inventory: PhoneInventory | None = None):
-        self.inventory = PhoneInventory.default() if inventory is None else inventory
-        self.columns = DictionaryColumns([], {}, (), [], [], [], [])
-
-    def add(self, pron: Pronunciation) -> None:
-        """Add one variant, in variant order among its word's others.
-
-        Each call rebuilds the columns; :func:`load_dictionary` builds a
-        large dictionary in one pass.
-        """
-        cols = self.columns
-        words, ids = cols.words, cols.ids
-        word_id = ids.get(pron.word)
-        if word_id is None:
-            word_id, words, ids = len(words), [*words, pron.word], {**ids, pron.word: len(words)}
-        elif pron.variant_index in cols.variants_of(word_id):
-            raise ParseError(f"duplicate variant {pron.variant_index} for {pron.word!r}")
-        rows = [*cols.rows(), (word_id, pron.variant_index, pron.phones)]
-        self.columns = DictionaryColumns.from_rows(words, ids, rows)
-
     def _word_id(self, word: str) -> int:
-        word_id = self.columns.ids.get(normalize_word(word))
+        word_id = self.ids.get(normalize_word(word))
         if word_id is None:
             raise OutOfVocabulary(f"no pronunciation for {word!r}")
         return word_id
 
-    def _variants(self, word_id: int) -> list[Pronunciation]:
-        cols = self.columns
-        return [
-            Pronunciation(cols.words[word_id], variant, phones)
-            for variant, phones in zip(cols.variants_of(word_id), cols.codes.decode(word_id))
-        ]
-
-    def lookup(self, word: str) -> list[Pronunciation]:
-        """All variants of ``word`` in variant order.
-
-        Raises :class:`OutOfVocabulary` when the word has no entry.
-        """
-        return self._variants(self._word_id(word))
-
-    def variant_phones(self, word: str) -> tuple[PhoneSeq, ...]:
-        """The phones of each variant of ``word``, in variant order, as :meth:`lookup`."""
-        return self.columns.codes.decode(self._word_id(word))
-
-    def __contains__(self, word: str) -> bool:
-        return normalize_word(word) in self.columns.ids
-
     def __len__(self) -> int:
-        return len(self.columns.words)
-
-    def words(self) -> Iterator[str]:
-        return iter(self.columns.words)
-
-    def items(self) -> ItemsView[str, list[Pronunciation]]:
-        """(normalized word, variants in variant order) pairs, built on each call."""
-        return {w: self._variants(i) for i, w in enumerate(self.columns.words)}.items()
+        return len(self.words)
 
     def entry_map(self) -> dict[str, list[PhoneSeq]]:
         """Plain word -> list-of-phone-sequences view (for comparisons)."""
-        cols = self.columns
-        return {w: list(cols.codes.decode(i)) for i, w in enumerate(cols.words)}
-
-    def dump(self, stream: IO[str]) -> None:
-        """Write the dictionary back out in its file format."""
-        cols = self.columns
-        for word_id, variant, phones in cols.rows():
-            word = cols.words[word_id]
-            name = word if variant == 1 else f"{word}({variant})"
-            stream.write(f"{name}  {' '.join(phones)}\n")
+        # Kept as a method since perfbench/tracing.py, its only non-test caller, counts with it.
+        return {w: list(self.codes.decode(i)) for i, w in enumerate(self.words)}
 
 
 class _SymbolCache(dict):
@@ -458,17 +356,16 @@ def load_dictionary(
         word_ids.append(word_id)
         variants.append(variant)
         lengths.append(len(parts) - 1)
-    dictionary = PronouncingDictionary(inventory)
-    if pairs is None:
-        dictionary.columns = DictionaryColumns(words, ids, symbols.codes, word_ids, variants,
-                                               lengths, codes)
-    else:  # some variant came out of word and variant order
-        names = tuple(symbols.codes)
-        ends = itertools.accumulate(lengths)
-        phones = [tuple(names[c] for c in codes[end - n : end]) for end, n in zip(ends, lengths)]
-        dictionary.columns = DictionaryColumns.from_rows(words, ids,
-                                                         zip(word_ids, variants, phones))
-    return dictionary
+    if pairs is not None:  # some variant came out of word and variant order
+        # Sorted as Python ints: a variant index need not fit in 64 bits.
+        order = sorted(range(len(variants)), key=lambda row: (word_ids[row], variants[row]))
+        rows = PhoneCodes.from_columns(symbols.codes, [len(order)], lengths, codes)
+        ends, codes = _gather(rows, np.array(order, dtype=np.intp))
+        lengths = np.diff(ends)
+        word_ids = [word_ids[row] for row in order]
+        variants = [variants[row] for row in order]
+    return PronouncingDictionary(inventory, words, ids, symbols.codes, word_ids, variants,
+                                 lengths, codes)
 
 
 @dataclass(frozen=True)
@@ -504,15 +401,23 @@ def join_rows(codes: PhoneCodes, phrases: Iterable[Sequence[int]]) -> tuple[np.n
         counts.append(len(combos))
         sizes += [len(words)] * len(combos)
         parts += itertools.chain.from_iterable(combos)
-    parts = np.array(parts, dtype=np.intp)
-    lengths = codes.lengths[parts]
-    ends = _offsets(lengths)  # where each part's codes start in the joined codes
-    flat = codes.codes[np.repeat(codes.starts[parts] - ends[:-1], lengths) + np.arange(ends[-1])]
+    parts = np.array(parts, dtype=np.intp)  # frees the list before the gather
+    ends, flat = _gather(codes, parts)
     return np.array(counts, dtype=np.intp), np.diff(ends[_offsets(sizes)]), flat
+
+
+def _gather(codes: PhoneCodes, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``codes``' rows ``rows`` end to end: the offsets where each starts, plus the
+    total at the end, and the codes."""
+    lengths = codes.lengths[rows]
+    ends = _offsets(lengths)
+    flat = codes.codes[np.repeat(codes.starts[rows] - ends[:-1], lengths) + np.arange(ends[-1])]
+    return ends, flat
 
 
 def phrase_phones(dictionary: PronouncingDictionary, words: list[str]) -> list[PhoneSeq]:
     """Concatenated pronunciations for a phrase: the rows of :func:`join_rows`, decoded."""
-    codes = dictionary.columns.codes
+    # Kept since perfbench/tracing.py, its only non-test caller, wraps it.
+    codes = dictionary.codes
     phrase = [dictionary._word_id(word) for word in words]
     return list(PhoneCodes.from_columns(codes.phones, *join_rows(codes, [phrase])).decode(0))

@@ -13,9 +13,13 @@ __all__ = ["finite_number", "string", "text_integer", "text_number", "tsv_rows",
 
 
 def string(value, key: str) -> str:
-    """A JSON string; nothing else."""
+    """A JSON string that UTF-8 encodes, so with no lone surrogate; nothing else."""
     if not isinstance(value, str):
         raise ValueError(f"{key} must be a string, got {value!r}")
+    try:
+        value.encode()
+    except UnicodeEncodeError:  # a ``\ud800`` escape decodes to a lone surrogate
+        raise ValueError(f"{key} must be UTF-8 text, got {value!r}") from None
     return value
 
 

@@ -57,13 +57,11 @@ __all__ = [
     "LabeledTrigger",
     "TriggerRanks",
     "TuningResult",
-    "best_achievable_rank",
     "cross_validate",
     "filter_triggers",
     "format_tuning_report",
     "grid_search",
     "load_trigger_labels",
-    "rank_of",
 ]
 
 log = logging.getLogger(__name__)
@@ -165,26 +163,6 @@ class TuningResult:
     objective: int
     per_wake_worst_rank: dict[str, int]
     grid_points_evaluated: int
-
-
-def rank_of(
-    label: str,
-    vocab: Sequence[Candidate],
-    wake: WakeWordSpec,
-    model: CostModel,
-) -> int:
-    """Competition rank of ``label`` in a full ranking of ``vocab``.
-
-    Rank 1 + (number of candidates strictly closer); tied candidates share
-    the same rank.  Raises :class:`UnknownLabel` when the label is absent.
-    """
-    vocab = Vocabulary.of(vocab)
-    try:
-        target = vocab.normalized_labels.index(normalize_label(label))
-    except ValueError:
-        raise UnknownLabel(f"label {label!r} not in vocabulary") from None
-    costs = CostContext(wake.phones, model).score(vocab.codes)
-    return 1 + int(np.count_nonzero(costs < costs[target]))
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +348,6 @@ def grid_search(
         per_wake_worst_rank={w: int(v[best_idx]) for w, v in worst_vecs.items()},
         grid_points_evaluated=grid_size,
     )
-
-
-def best_achievable_rank(
-    trigger: LabeledTrigger,
-    vocab: Sequence[Candidate],
-    wake: WakeWordSpec,
-    grid: Grid,
-    variant: str = "simple",
-    table: WeightTable | None = None,
-    blocklist: Iterable[str] = (),
-) -> int:
-    """The best rank ``trigger`` reaches at any point of ``grid``."""
-    ranks = TriggerRanks(
-        [LabeledTrigger(wake.id, trigger.trigger_label)], vocab, [wake], grid, variant, table,
-        blocklists={wake.id: blocklist},
-    )
-    return int(ranks.of(wake.id)[trigger.trigger_label].min())
 
 
 def filter_triggers(

@@ -116,12 +116,11 @@ def sample_probe_words(
     """
     if n_words < 1 or n_voices < 1:
         raise ValueError(f"n_words and n_voices must be >= 1, got {n_words} and {n_voices}")
-    columns = dictionary.columns
-    codes = columns.codes
+    codes = dictionary.codes
     # Each of ``phone``'s codes lies in the last row that starts at or before it.
     hits = np.flatnonzero((np.array(codes.phones, dtype=str) == phone)[codes.codes])
     rows = np.searchsorted(codes.starts, hits, "right") - 1
-    qualifying = sorted(columns.words[w] for w in np.unique(columns.word_ids[rows]).tolist())
+    qualifying = sorted(dictionary.words[w] for w in np.unique(dictionary.word_ids[rows]).tolist())
     if not qualifying:
         raise NoQualifyingWords(f"no dictionary word contains phone {phone!r}")
     if len(qualifying) <= n_words:

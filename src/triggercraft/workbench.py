@@ -167,10 +167,10 @@ class WorkbenchConfig:
 
 
 def _strings(value, key: str) -> tuple[str, ...]:
-    """A JSON list of strings; nothing else."""
+    """A JSON list of strings, each read by :func:`~triggercraft.readers.string`; nothing else."""
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise ValueError(f"{key} must be a list of strings, got {value!r}")
-    return tuple(value)
+    return tuple(string(item, key) for item in value)
 
 
 def _wake_word(entry, inventory: PhoneInventory) -> WakeWordSpec:
@@ -217,7 +217,7 @@ def _voices(raw) -> tuple[Voice, ...]:
 def _media_lengths(raw) -> dict[str, float]:
     lengths = {}
     for media_id, value in raw.items():
-        lengths[media_id] = finite_number(value, f"length of {media_id!r}")
+        lengths[string(media_id, "media id")] = finite_number(value, f"length of {media_id!r}")
         if lengths[media_id] <= 0:
             raise ValueError(f"length of {media_id!r} must be > 0, got {value!r}")
     return lengths

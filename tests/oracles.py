@@ -17,27 +17,36 @@ import json
 import math
 import random
 import re
+from dataclasses import dataclass
 from datetime import datetime
 from functools import lru_cache
 
 import numpy as np
 
-from triggercraft.candidates import Candidate
+from triggercraft.candidates import Candidate, Vocabulary, normalize_label
 from triggercraft.distance import (
+    CostContext,
     CostModel,
     DistanceBreakdown,
     PhoneCodes,
     ScaleFactors,
     WeightTable,
 )
-from triggercraft.errors import NegativeProgress, NoQualifyingWords, ParseError, UnknownPhone
+from triggercraft.errors import (
+    NegativeProgress,
+    NoQualifyingWords,
+    ParseError,
+    UnknownLabel,
+    UnknownPhone,
+)
 from triggercraft.harness import (
     ActivationObservation,
     Adjudication,
     TriggerEvent,
     VerificationResult,
 )
-from triggercraft.lexicon import PhoneInventory, Pronunciation, parse_phone
+from triggercraft.lexicon import PhoneInventory, parse_phone
+from triggercraft.tuning import LabeledTrigger, TriggerRanks
 from triggercraft.weights import ProbePlan
 
 # A compact phone alphabet for randomized tests.  Real inventory symbols,
@@ -346,13 +355,21 @@ def _is_count(value) -> bool:
     return type(value) is int or (type(value) is float and value.is_integer())
 
 
+def _text(record: dict, key: str) -> str:
+    """``record[key]``: a string, and then one without a lone surrogate
+    (U+D800 to U+DFFF), so that UTF-8 can write it out."""
+    _field(record, key, lambda v: isinstance(v, str), "a string")
+    return _field(record, key, lambda v: not any(0xD800 <= ord(c) <= 0xDFFF for c in v),
+                  "UTF-8 text")
+
+
 def _reference_event(record: dict, lineno: int) -> TriggerEvent:
     try:
         ts = _field(record, "ts", lambda v: isinstance(v, str), "a string")
         timestamp = datetime.fromisoformat(ts.replace("Z", "+00:00"))
-        media = _field(record, "media", lambda v: isinstance(v, str), "a string")
+        media = _text(record, "media")
         progress = float(_field(record, "progress_s", _is_double, "a finite number"))
-        speaker = _field(record, "speaker", lambda v: isinstance(v, str), "a string")
+        speaker = _text(record, "speaker")
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad event record: {exc!r}", lineno) from None
     if progress < 0:
@@ -444,14 +461,23 @@ def reference_join(events, verifications, adjudications):
 
 
 # ---------------------------------------------------------------------------
-# The pronouncing dictionary as objects: one Pronunciation per line, kept in
+# The pronouncing dictionary as objects: one Variant per line, kept in
 # per-word lists, the way the package stored it before it kept columns.
 
 _VARIANT = re.compile(r"^(?P<word>.+)\((?P<index>\d+)\)$")
 
 
-def reference_load_dictionary(lines, inventory=None) -> dict[str, list[Pronunciation]]:
-    """Word -> its Pronunciations in variant order, words in file order.
+@dataclass(frozen=True)
+class Variant:
+    """One pronunciation variant of a dictionary word."""
+
+    word: str
+    variant_index: int  # 1-based
+    phones: tuple[str, ...]
+
+
+def reference_load_dictionary(lines, inventory=None) -> dict[str, list[Variant]]:
+    """Word -> its Variants in variant order, words in file order.
 
     Parses line by line, builds one object per line and adds it to its
     word's list at once: the errors, their messages and line numbers are
@@ -459,7 +485,7 @@ def reference_load_dictionary(lines, inventory=None) -> dict[str, list[Pronuncia
     """
     if inventory is None:
         inventory = PhoneInventory.default()
-    entries: dict[str, list[Pronunciation]] = {}
+    entries: dict[str, list[Variant]] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith(";;;"):
@@ -486,13 +512,28 @@ def reference_load_dictionary(lines, inventory=None) -> dict[str, list[Pronuncia
         variants = entries.setdefault(word, [])
         if any(v.variant_index == variant_index for v in variants):
             raise ParseError(f"duplicate variant {variant_index} for {word!r}", lineno)
-        variants.append(Pronunciation(word, variant_index, phones))
+        variants.append(Variant(word, variant_index, phones))
         variants.sort(key=lambda v: v.variant_index)
     return entries
 
 
+def reference_listing(entries) -> list[tuple[str, int, tuple[str, ...]]]:
+    """(word, variant index, phones) of every variant of ``entries``, in order."""
+    return [(word, v.variant_index, v.phones)
+            for word, variants in entries.items() for v in variants]
+
+
+def dictionary_listing(dictionary) -> list[tuple[str, int, tuple[str, ...]]]:
+    """(word, variant index, phones) of every row of a loaded dictionary, read
+    from its columns: the shape :func:`reference_listing` gives."""
+    words, variants = dictionary.words, dictionary.variants
+    phones = [p for word_id in range(len(words)) for p in dictionary.codes.decode(word_id)]
+    return [(words[w], v, p) for w, v, p in zip(dictionary.word_ids.tolist(), variants, phones,
+                                                strict=True)]
+
+
 def reference_dictionary_candidates(entries) -> list:
-    """One candidate per word of ``entries`` (word -> Pronunciations), all its variants."""
+    """One candidate per word of ``entries`` (word -> Variants), all its variants."""
     return [Candidate(word.lower(), tuple(v.phones for v in variants))
             for word, variants in entries.items()]
 
@@ -513,7 +554,7 @@ def reference_blocklist(wake, entries) -> set[str]:
 
 
 def reference_phrase_phones(entries, words, max_variants=16) -> list[tuple[str, ...]]:
-    """A phrase's pronunciations from ``entries`` (word -> Pronunciations):
+    """A phrase's pronunciations from ``entries`` (word -> Variants):
     each combination of its words' variants, first variants first, joined,
     and only the first ``max_variants`` combinations."""
     combos = [()]
@@ -528,7 +569,7 @@ def reference_extract_ngrams(entries, lines, n) -> tuple[list, int]:
     A token is a run of letters a-z and apostrophes in the lower-cased line,
     unless it is apostrophes only.  Each line's windows of ``n`` tokens are
     counted in order of first appearance; a window with a word missing from
-    ``entries`` (word -> Pronunciations) is dropped, and every other becomes
+    ``entries`` (word -> Variants) is dropped, and every other becomes
     a candidate with its :func:`reference_phrase_phones`.
     """
     counts: dict[str, int] = {}
@@ -551,11 +592,10 @@ def reference_extract_ngrams(entries, lines, n) -> tuple[list, int]:
     return candidates, len(counts) - len(kept)
 
 
-def reference_sample_probe_words(dictionary, phone, n_words, seed) -> ProbePlan:
-    """The probe plan by a walk over every word's looked-up variants."""
+def reference_sample_probe_words(entries, phone, n_words, seed) -> ProbePlan:
+    """The probe plan by a walk over every variant of ``entries`` (word -> Variants)."""
     qualifying = sorted(
-        word for word in dictionary.words()
-        if any(phone in v.phones for v in dictionary.lookup(word))
+        word for word, variants in entries.items() if any(phone in v.phones for v in variants)
     )
     if not qualifying:
         raise NoQualifyingWords(f"no dictionary word contains phone {phone!r}")
@@ -564,3 +604,33 @@ def reference_sample_probe_words(dictionary, phone, n_words, seed) -> ProbePlan:
     else:
         words = tuple(random.Random(seed).sample(qualifying, n_words))
     return ProbePlan(phone=phone, words=words, n_voices=10, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Trigger ranks, one full ranking at a time: the reference for TriggerRanks.
+
+
+def rank_of(label, vocab, wake, model: CostModel) -> int:
+    """Competition rank of ``label`` in a full ranking of ``vocab``.
+
+    Rank 1 + (number of candidates strictly closer); tied candidates share
+    the same rank.  Raises :class:`UnknownLabel` when the label is absent.
+    """
+    vocab = Vocabulary.of(vocab)
+    try:
+        target = vocab.normalized_labels.index(normalize_label(label))
+    except ValueError:
+        raise UnknownLabel(f"label {label!r} not in vocabulary") from None
+    costs = CostContext(wake.phones, model).score(vocab.codes)
+    return 1 + int(np.count_nonzero(costs < costs[target]))
+
+
+def best_achievable_rank(trigger, vocab, wake, grid, variant="simple", table=None,
+                         blocklist=()) -> int:
+    """The best rank ``trigger`` reaches at any point of ``grid``: one
+    trigger's :class:`TriggerRanks` vector, reduced by its minimum."""
+    ranks = TriggerRanks(
+        [LabeledTrigger(wake.id, trigger.trigger_label)], vocab, [wake], grid, variant, table,
+        blocklists={wake.id: blocklist},
+    )
+    return int(ranks.of(wake.id)[trigger.trigger_label].min())

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from oracles import oracle_cost, random_models, random_phones
+from oracles import oracle_cost, random_models, random_phones, rank_of
 from triggercraft.candidates import (
     Candidate,
     build_blocklist,
@@ -48,7 +48,6 @@ from triggercraft.tuning import (
     cross_validate,
     grid_search,
     load_trigger_labels,
-    rank_of,
 )
 from triggercraft.weights import build_weight_table, load_weight_table, store_weight_table
 from triggercraft.workbench import main

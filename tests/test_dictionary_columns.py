@@ -6,7 +6,6 @@ dictionary's columns; each is checked here against the per-line,
 per-variant objects of ``tests/oracles.py``.
 """
 
-import io
 import random
 from unittest import mock
 
@@ -17,10 +16,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     ALPHABET,
+    dictionary_listing,
     random_models,
     reference_blocklist,
     reference_dictionary_candidates,
     reference_extract_ngrams,
+    reference_listing,
     reference_load_dictionary,
     reference_phrase_phones,
     reference_sample_probe_words,
@@ -37,13 +38,7 @@ from triggercraft.candidates import (
 )
 from triggercraft.distance import CostContext
 from triggercraft.errors import NoQualifyingWords, TriggerCraftError
-from triggercraft.lexicon import (
-    PronouncingDictionary,
-    Pronunciation,
-    WakeWordSpec,
-    load_dictionary,
-    phrase_phones,
-)
+from triggercraft.lexicon import WakeWordSpec, load_dictionary, phrase_phones
 from triggercraft.tuning import TriggerRanks, filter_triggers, grid_search, load_trigger_labels
 from triggercraft.weights import sample_probe_words
 from triggercraft.workbench import load_config
@@ -70,19 +65,12 @@ dictionary_files = st.lists(
 ).map(lambda lines: [line + "\n" for line in lines])
 
 
-def listing(entries_by_word):
-    """(word, variant index, phones) of every variant, in order."""
-    return [(word, v.variant_index, v.phones)
-            for word, variants in entries_by_word.items() for v in variants]
-
-
 def outcome(parse, lines):
-    """The listing of what ``parse`` accepts, or the class, text and line of its error."""
+    """What ``parse`` returns, or the class, text and line of its error."""
     try:
-        parsed = parse(lines)
+        return parse(lines)
     except TriggerCraftError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    return listing(parsed)
 
 
 @settings(max_examples=400, deadline=None)
@@ -94,20 +82,14 @@ def outcome(parse, lines):
 @example(lines=["A()  AH\n", "FOO)  K\n", "a(0)  T\n"])
 @example(lines=["hey  hh ey1\n", "ONE\n"])
 def test_dictionary_parses_like_the_object_reference(lines):
-    expected = outcome(reference_load_dictionary, lines)
-    assert outcome(load_dictionary, lines) == expected
+    expected = outcome(lambda ls: reference_listing(reference_load_dictionary(ls)), lines)
+    assert outcome(lambda ls: dictionary_listing(load_dictionary(ls)), lines) == expected
     if isinstance(expected, list):
         dictionary = load_dictionary(lines)
         reference = reference_load_dictionary(lines)
         assert dictionary.entry_map() == {w: [v.phones for v in vs] for w, vs in reference.items()}
-        for word, variants in reference.items():
-            assert dictionary.lookup(word) == variants
-            assert dictionary.variant_phones(word) == tuple(v.phones for v in variants)
-        stream = io.StringIO()
-        dictionary.dump(stream)
-        assert stream.getvalue() == "".join(
-            f"{w if v == 1 else f'{w}({v})'}  {' '.join(phones)}\n" for w, v, phones in expected
-        )
+        for word, variants in reference.items():  # at most 12 variants: under the phrase cap
+            assert phrase_phones(dictionary, [word]) == [v.phones for v in variants]
 
 
 @st.composite
@@ -126,15 +108,29 @@ def dictionary_file(rows):
             for w, v, p in rows]
 
 
+def first_use(lines):
+    """The phone symbols of a :func:`dictionary_file`, in the file's order of first use."""
+    return tuple(dict.fromkeys(token for line in lines for token in line.split()[1:]))
+
+
+def codes_fields(codes):
+    """Every column and group of a PhoneCodes, as plain values, each code read
+    as its symbol: a dictionary numbers its symbols in the file's order of
+    first use, a vocabulary of candidates in their rows' order."""
+    symbols = np.array(codes.phones)
+    return (sorted(codes.phones), codes.counts.tolist(), codes.lengths.tolist(), codes.codes.dtype,
+            symbols[codes.codes].tolist(),
+            [(p.tolist(), b.dtype, symbols[b].tolist()) for p, b in codes.groups])
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=dictionary_rows())
-def test_added_variants_list_like_parsed_ones(rows):
-    added = PronouncingDictionary()
-    for word, variant, phones in rows:
-        added.add(Pronunciation(word, variant, phones))
-    reference = reference_load_dictionary(dictionary_file(rows))
-    assert listing(added) == listing(reference)
-    assert added.columns.codes.phones == load_dictionary(dictionary_file(rows)).columns.codes.phones
+def test_permuted_file_loads_like_the_reference(rows):
+    lines = dictionary_file(rows)
+    dictionary = load_dictionary(lines)
+    assert dictionary_listing(dictionary) == reference_listing(reference_load_dictionary(lines))
+    # Sorting the rows leaves the phone symbols in the file's order of first use.
+    assert dictionary.codes.phones == first_use(lines)
 
 
 # Wake phones: the dictionary's four, two it never uses, and one outside
@@ -160,12 +156,8 @@ def test_dictionary_vocabulary_equals_one_of_candidates(rows, phones, seed):
     vocab = Vocabulary.from_dictionary(dictionary)
     expected = Vocabulary(reference_dictionary_candidates(reference_load_dictionary(lines)))
     assert vocab.normalized_labels == expected.normalized_labels
-    assert vocab.codes.phones == expected.codes.phones
-    assert vocab.codes.counts.tolist() == expected.codes.counts.tolist()
-    for (positions, block), (want_positions, want_block) in zip(
-            vocab.codes.groups, expected.codes.groups, strict=True):
-        assert positions.tolist() == want_positions.tolist()
-        assert block.dtype == want_block.dtype and block.tolist() == want_block.tolist()
+    assert vocab.codes.phones == first_use(lines)
+    assert codes_fields(vocab.codes) == codes_fields(expected.codes)
 
     rng = random.Random(seed)
     keep = np.array([rng.random() < 0.8 for _ in range(len(vocab))])
@@ -177,12 +169,6 @@ def test_dictionary_vocabulary_equals_one_of_candidates(rows, phones, seed):
     assert [id(c) for c in vocab] == [id(vocab[i]) for i in range(len(vocab))]
     assert vocab[-1] is vocab[len(vocab) - 1]
     assert vocab[1:] == tuple(vocab)[1:]
-
-
-def codes_fields(codes):
-    """Every column and group of a PhoneCodes, as plain values."""
-    return (codes.phones, codes.counts.tolist(), codes.lengths.tolist(), codes.codes.dtype,
-            codes.codes.tolist(), [(p.tolist(), b.dtype, b.tolist()) for p, b in codes.groups])
 
 
 @st.composite
@@ -224,9 +210,10 @@ def test_phrase_rows_are_the_candidates_tune_built(vocabulary, phones, seed):
 
     assert vocab.labels == expected.labels
     assert vocab.normalized_labels == expected.normalized_labels
+    assert vocab.codes.phones == first_use(lines)
     assert codes_fields(vocab.codes) == codes_fields(expected.codes)
     # With no new label the vocabulary shares the dictionary's codes.
-    assert (vocab.codes is dictionary.columns.codes) == (not extra)
+    assert (vocab.codes is dictionary.codes) == (not extra)
     for idx, cand in enumerate(extra, len(words)):  # decoded from the joined rows
         assert vocab[idx].prons == cand.prons and vocab[idx].source == "trigger"
     rng = random.Random(seed)
@@ -318,7 +305,6 @@ def test_ngrams_build_candidates_only_for_what_is_read(fixtures_dir, monkeypatch
     monkeypatch.setattr(lexicon, "encode_phones", forbidden)  # no vocabulary is encoded again
     with monkeypatch.context() as patched:
         patched.setattr(lexicon.PhoneCodes, "decode", forbidden)
-        patched.setattr(PronouncingDictionary, "variant_phones", forbidden)
         vocab = extract_ngrams(lines, 2, dictionary)
     assert built == [] and len(vocab) > 3
     assert Vocabulary.of(vocab) is vocab
@@ -334,7 +320,8 @@ def test_ngrams_build_candidates_only_for_what_is_read(fixtures_dir, monkeypatch
 def test_probe_sampling_scans_the_codes_like_the_lookup_walk(rows, phone, n_words, seed):
     dictionary = load_dictionary(dictionary_file(rows))
     try:
-        expected = reference_sample_probe_words(dictionary, phone, n_words, seed)
+        expected = reference_sample_probe_words(reference_load_dictionary(dictionary_file(rows)),
+                                                phone, n_words, seed)
     except NoQualifyingWords:
         with pytest.raises(NoQualifyingWords):
             sample_probe_words(dictionary, phone, n_words, seed)
@@ -346,7 +333,7 @@ def test_tune_reductions_build_no_objects(fixtures_dir, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an object was built")
 
-    monkeypatch.setattr(lexicon, "Pronunciation", forbidden)
+    monkeypatch.setattr(lexicon.PhoneCodes, "decode", forbidden)  # no phone tuple is built
     monkeypatch.setattr(candidates, "Candidate", forbidden)
     config = load_config(fixtures_dir / "config.json")
     with open(fixtures_dir / "triggers.tsv", encoding="utf-8") as fh:
@@ -368,7 +355,7 @@ def test_parse_vocabulary_and_blocklist_build_no_objects(fixtures_dir, monkeypat
     def forbidden(*args, **kwargs):
         raise AssertionError("an object was built")
 
-    monkeypatch.setattr(lexicon, "Pronunciation", forbidden)
+    monkeypatch.setattr(lexicon.PhoneCodes, "decode", forbidden)  # no phone tuple is built
     monkeypatch.setattr(candidates, "Candidate", forbidden)
     config = load_config(fixtures_dir / "config.json")
     vocab = config.vocabulary()

@@ -364,7 +364,7 @@ class TestBulkWarnings:
 class TestDistanceToWakeword:
     def test_picks_best_variant(self, wake_by_id, mini_dictionary):
         wake = wake_by_id["VA3"]  # phones EH K OW
-        prons = [p.phones for p in mini_dictionary.lookup("gecko")]
+        prons = mini_dictionary.codes.decode(mini_dictionary.ids["GECKO"])
         bd = distance_to_wakeword(wake, prons, CostModel.unweighted())
         assert bd.L == 1 / 3
 

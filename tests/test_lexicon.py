@@ -4,13 +4,12 @@ import io
 
 import pytest
 
+from oracles import dictionary_listing
 from triggercraft.errors import OutOfVocabulary, ParseError, UnknownPhone
 from triggercraft.lexicon import (
     CONSONANTS,
     VOWELS,
     PhoneInventory,
-    Pronunciation,
-    PronouncingDictionary,
     load_dictionary,
     normalize_word,
     parse_phone,
@@ -85,25 +84,28 @@ class TestNormalizeWord:
         assert normalize_word("O'CLOCK") == "O'CLOCK"
 
 
+def variants(dictionary, word: str) -> list[tuple[int, tuple[str, ...]]]:
+    """(variant index, phones) of each of ``word``'s rows, in row order."""
+    return [(v, phones) for w, v, phones in dictionary_listing(dictionary) if w == word]
+
+
 class TestLoadDictionary:
     def test_sample_entry(self, mini_dictionary):
-        prons = mini_dictionary.lookup("alexa")
-        assert len(prons) == 1
-        assert prons[0].phones == ("AH", "L", "EH", "K", "S", "AH")
+        assert variants(mini_dictionary, "ALEXA") == [(1, ("AH", "L", "EH", "K", "S", "AH"))]
 
     def test_variants_ordered(self, mini_dictionary):
-        prons = mini_dictionary.lookup("TOMATO")
-        assert [p.variant_index for p in prons] == [1, 2]
-        assert prons[0].phones == ("T", "AH", "M", "EY", "T", "OW")
-        assert prons[1].phones == ("T", "AH", "M", "AA", "T", "OW")
+        assert variants(mini_dictionary, "TOMATO") == [
+            (1, ("T", "AH", "M", "EY", "T", "OW")),
+            (2, ("T", "AH", "M", "AA", "T", "OW")),
+        ]
 
     def test_lookup_is_case_insensitive(self, mini_dictionary):
-        assert mini_dictionary.lookup("Echo")[0].phones == ("EH", "K", "OW")
-        assert "eChO" in mini_dictionary
+        assert phrase_phones(mini_dictionary, ["Echo"]) == [("EH", "K", "OW")]
+        assert normalize_word("eChO") in mini_dictionary.ids
 
     def test_missing_word(self, mini_dictionary):
         with pytest.raises(OutOfVocabulary):
-            mini_dictionary.lookup("xylophone")
+            phrase_phones(mini_dictionary, ["xylophone"])
 
     def test_comments_and_blanks_skipped(self):
         d = load_dictionary([";;; header\n", "\n", "HEY  HH EY1\n", "   \n"])
@@ -128,18 +130,14 @@ class TestLoadDictionary:
         with pytest.raises(ParseError):
             load_dictionary(["A(0)  AH0\n"])
 
-    def test_dump_roundtrip(self, mini_dictionary):
-        buf = io.StringIO()
-        mini_dictionary.dump(buf)
-        reloaded = load_dictionary(io.StringIO(buf.getvalue()))
+    def test_listing_written_out_reloads_the_same(self, mini_dictionary):
+        text = "".join(f"{w if v == 1 else f'{w}({v})'}  {' '.join(phones)}\n"
+                       for w, v, phones in dictionary_listing(mini_dictionary))
+        reloaded = load_dictionary(io.StringIO(text))
         assert reloaded.entry_map() == mini_dictionary.entry_map()
 
-    def test_add_rejects_empty_pronunciation(self):
-        with pytest.raises(ValueError):
-            Pronunciation("X", 1, ())
-
     def test_words_iteration(self, mini_dictionary):
-        words = set(mini_dictionary.words())
+        words = set(mini_dictionary.words)
         assert {"ALEXA", "ECHO", "COMPUTER", "HEY"} <= words
 
 
@@ -163,7 +161,7 @@ class TestPhrasePhones:
         first = tuple(
             phone
             for w in words
-            for phone in mini_dictionary.lookup(w)[0].phones
+            for phone in variants(mini_dictionary, w.upper())[0][1]
         )
         assert prons[0] == first
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_costs
+from oracles import best_achievable_rank, oracle_costs, rank_of
 from triggercraft import tuning
 from triggercraft.candidates import (
     Candidate,
@@ -33,13 +33,11 @@ from triggercraft.tuning import (
     Grid,
     LabeledTrigger,
     TriggerRanks,
-    best_achievable_rank,
     cross_validate,
     filter_triggers,
     format_tuning_report,
     grid_search,
     load_trigger_labels,
-    rank_of,
 )
 
 UNWEIGHTED = CostModel.unweighted()

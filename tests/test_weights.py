@@ -47,7 +47,7 @@ class TestSampleProbeWords:
     def test_sampled_words_contain_the_phone(self, mini_dictionary):
         plan = sample_probe_words(mini_dictionary, "AH", n_words=8, seed=1)
         for word in plan.words:
-            assert any("AH" in v.phones for v in mini_dictionary.lookup(word))
+            assert any("AH" in p for p in mini_dictionary.codes.decode(mini_dictionary.ids[word]))
 
     def test_any_variant_qualifies(self, mini_dictionary):
         # EY only occurs in A's *second* variant, which must still qualify it.
@@ -59,8 +59,8 @@ class TestSampleProbeWords:
             plan = sample_probe_words(mini_dictionary, "SH", n_words=10, seed=0)
         qualifying = [
             w
-            for w in mini_dictionary.words()
-            if any("SH" in v.phones for v in mini_dictionary.lookup(w))
+            for i, w in enumerate(mini_dictionary.words)
+            if any("SH" in p for p in mini_dictionary.codes.decode(i))
         ]
         assert sorted(plan.words) == sorted(qualifying)
         assert len(plan.words) < 10

@@ -50,6 +50,8 @@ BAD_CONFIG_VALUES = {
     "string-grid-value": ("grid", '{"lo": "0", "hi": 1, "step": 0.5}'),
     "boolean-grid-value": ("grid", '{"lo": 0, "hi": true, "step": 0.5}'),
     "numeric-path": ("dictionary", "5"),
+    "surrogate-path": ("out_dir", '"out\\udfff"'),
+    "surrogate-media-id": ("media_lengths", '{"show\\ud800": 60}'),
 }
 
 # Wake-word entry fields of the wrong type, over a valid entry for VA1.
@@ -537,6 +539,64 @@ class TestUndecodableInput:
             assert main(argv) == code
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and "line 1500: not UTF-8" in errors[0]
+
+# Config strings holding a lone surrogate, which a ``\\ud800`` escape decodes
+# to and UTF-8 cannot write: where each sits (in the wake-word entries or
+# the voice pool), and a command that would write it out.
+RANK_VA1 = ["rank", "--wake", "VA1"]
+SURROGATE_STRINGS = {
+    "wake-text": (lambda wakes, pool: wakes[0].update(text="\ud800"), RANK_VA1),
+    "wake-id": (lambda wakes, pool: wakes[3].update(id="VA4\ud800"),
+                ["tune", "--triggers", "{fixtures}/triggers.tsv", "--loocv"]),
+    "blocklist-label": (lambda wakes, pool: wakes[0].update(blocklist=["x\ud800"]), RANK_VA1),
+    "voice-id": (lambda wakes, pool: pool[0].update(id="v\ud800"), RANK_VA1),
+}
+
+
+class TestLoneSurrogate:
+    @pytest.mark.parametrize("kind", list(SURROGATE_STRINGS))
+    def test_config_string_is_refused_before_any_output(self, tmp_path, fixtures_dir, caplog,
+                                                        kind):
+        mutate, command = SURROGATE_STRINGS[kind]
+        wakes = json.loads((fixtures_dir / "wake_words.json").read_text(encoding="utf-8"))
+        pool = [{"id": v.id, "kind": v.kind, "gender": v.gender} for v in DEFAULT_VOICES]
+        mutate(wakes, pool)
+        wake = tmp_path / "wake.json"
+        wake.write_text(json.dumps(wakes), encoding="utf-8")  # the surrogate as an escape
+        config = write_config(tmp_path, fixtures_dir, wake_words=str(wake), voices=pool)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["--config", str(config), "--out", str(out)]
+        argv += [arg.format(fixtures=fixtures_dir) for arg in command]
+        with caplog.at_level(logging.ERROR, logger="triggercraft.workbench"):
+            assert main(argv) == 1
+        assert "must be UTF-8 text" in caplog.text
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["media", "speaker"])
+    @pytest.mark.parametrize("log_name", ["events", "verification", "adjudication"])
+    def test_log_string_is_a_parse_error_on_its_line(self, config_path, tmp_path, fixtures_dir,
+                                                      caplog, log_name, key):
+        logs = {name: fixtures_dir / f"{name}.jsonl"
+                for name in ("events", "verification", "adjudication")}
+        lines = logs[log_name].read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record[key] += "\ud800"
+        lines[1] = json.dumps(record)
+        logs[log_name] = tmp_path / f"{log_name}.jsonl"
+        logs[log_name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["--config", config_path, "--out", str(out), "harness"]
+        for name, path in logs.items():
+            argv += [f"--{name}", str(path)]
+        with caplog.at_level(logging.ERROR, logger="triggercraft.workbench"):
+            assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith("line 2: bad event record:")
+        assert f"{key} must be UTF-8 text" in errors[0]
+        assert list(out.iterdir()) == []
+
 
 def run(config_path, out_dir, *argv):
     code = main(["--config", config_path, "--no-timestamp", "--out", str(out_dir), *argv])
