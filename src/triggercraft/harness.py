@@ -8,14 +8,16 @@ adjudicated by two human reviewers who decide whether the trigger was
 accidental.  This module parses those logs and computes the derived
 quantities: replay windows, reproducibility bins, activation classes,
 adjudication resolutions, inter-rater agreement (Cohen's kappa), and the
-per-speaker/per-media summary table.
+summary file with its per-speaker/per-media tables and replay windows.
 
 Event records look like::
 
     {"ts": "2019-10-01T12:00:00Z", "media": "show_a_e01", "progress_s": 100.0, "speaker": "VA1"}
 
-Verification records add ``replays``/``hits`` (and optionally the observed
-activation signals); adjudication records add ``reviewer_a``/``reviewer_b``.
+A verification record adds ``replays``/``hits`` and, optionally, the
+activation signals seen during the replays; it parses to one
+:class:`VerificationResult`.  An adjudication record adds
+``reviewer_a``/``reviewer_b``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EventBeyondMedia,
@@ -39,7 +41,6 @@ from .errors import EmptyInput
 from .readers import finite_number, string, whole_number
 
 __all__ = [
-    "ActivationObservation",
     "Adjudication",
     "Summary",
     "TriggerAnalysis",
@@ -84,11 +85,15 @@ class TriggerEvent:
 
 @dataclass(frozen=True, slots=True)
 class VerificationResult:
-    """Replay outcome for one event: how often the trigger reproduced."""
+    """Replay outcome for one event: how often the trigger reproduced, and
+    the signals that show whether its audio reached the cloud."""
 
     event: TriggerEvent
     replays: int = MAX_REPLAYS
     hits: int = 0
+    led_on_s: float = 0.0
+    voice_response: bool = False
+    pattern_cloud_signal: bool = False
 
     def __post_init__(self):
         if type(self.replays) is not int or type(self.hits) is not int:  # bool is not a count
@@ -97,20 +102,6 @@ class VerificationResult:
             raise ValueError(f"replays={self.replays} outside 1..{MAX_REPLAYS}")
         if not 0 <= self.hits <= self.replays:
             raise ValueError(f"hits={self.hits} outside 0..{self.replays}")
-
-    @property
-    def bin(self) -> str:
-        return bin_reproducibility(self.hits)
-
-
-@dataclass(frozen=True, slots=True)
-class ActivationObservation:
-    """Signals observed while a trigger fired."""
-
-    event: TriggerEvent
-    led_on_s: float = 0.0
-    voice_response: bool = False
-    pattern_cloud_signal: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,10 +116,6 @@ class Adjudication:
         for label in (self.reviewer_a, self.reviewer_b):
             if label not in REVIEW_LABELS:
                 raise ValueError(f"unknown review label {label!r}")
-
-    @property
-    def resolution(self) -> str:
-        return adjudicate(self.reviewer_a, self.reviewer_b)
 
 
 # The C scanner behind ``json.loads``, without its per-call Python wrapper.
@@ -206,9 +193,7 @@ def _flag(record: dict, key: str) -> bool:
     return value
 
 
-def parse_verification_log(
-    lines: Iterable[str],
-) -> list[tuple[VerificationResult, ActivationObservation]]:
+def parse_verification_log(lines: Iterable[str]) -> list[VerificationResult]:
     """Parse verification records (event fields + replays/hits + signals)."""
     out = []
     for lineno, record in _json_records(lines):
@@ -220,20 +205,22 @@ def parse_verification_log(
             hits = record["hits"]
             if type(hits) is not int:
                 hits = whole_number(hits, "hits")
-            verification = VerificationResult(event, replays, hits)
-            led_on = record.get("led_on_s", 0.0)
-            if type(led_on) is not float or led_on - led_on != 0.0:
-                led_on = finite_number(led_on, "led_on_s")
-            voice = record.get("voice_response", False)
-            if type(voice) is not bool:
-                voice = _flag(record, "voice_response")
-            cloud = record.get("cloud_pattern", False)
-            if type(cloud) is not bool:
-                cloud = _flag(record, "cloud_pattern")
-            observation = ActivationObservation(event, led_on, voice, cloud)
+            try:
+                led_on = record.get("led_on_s", 0.0)
+                if type(led_on) is not float or led_on - led_on != 0.0:
+                    led_on = finite_number(led_on, "led_on_s")
+                voice = record.get("voice_response", False)
+                if type(voice) is not bool:
+                    voice = _flag(record, "voice_response")
+                cloud = record.get("cloud_pattern", False)
+                if type(cloud) is not bool:
+                    cloud = _flag(record, "cloud_pattern")
+            except ValueError:
+                VerificationResult(event, replays, hits)  # a bad count is reported first
+                raise
+            out.append(VerificationResult(event, replays, hits, led_on, voice, cloud))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad verification record: {exc!r}", lineno) from None
-        out.append((verification, observation))
     return out
 
 
@@ -259,7 +246,8 @@ def verification_window(event: TriggerEvent, media_len_s: float) -> tuple[float,
         raise ValueError(f"media length must be positive, got {media_len_s!r}")
     if event.progress_s > media_len_s:
         raise EventBeyondMedia(
-            f"event at {event.progress_s}s lies past media end ({media_len_s}s)"
+            f"event of speaker {event.speaker_id!r} on media {event.media_id!r} at "
+            f"{event.progress_s}s lies past media end ({media_len_s}s)"
         )
     start = max(0.0, event.progress_s - WINDOW_BEFORE_S)
     end = min(media_len_s, event.progress_s + WINDOW_AFTER_S)
@@ -279,21 +267,14 @@ def bin_reproducibility(hits: int) -> str:
     return "high"
 
 
-def classify_activation(
-    observation: ActivationObservation,
-    threshold_s: float = 2.0,
-) -> str:
+def classify_activation(result: VerificationResult, threshold_s: float = 2.0) -> str:
     """Conservatively decide whether audio reached the vendor cloud.
 
     A long activation light (at least ``threshold_s`` seconds), a voice
     response, or a known cloud-signal light pattern all count as evidence
     that audio was sent on; anything shorter stays ``"local"``.
     """
-    if (
-        observation.led_on_s >= threshold_s
-        or observation.voice_response
-        or observation.pattern_cloud_signal
-    ):
+    if result.led_on_s >= threshold_s or result.voice_response or result.pattern_cloud_signal:
         return "local_plus_cloud"
     return "local"
 
@@ -347,11 +328,6 @@ class TriggerAnalysis:
 
     verification: VerificationResult
     adjudication: Adjudication | None = None
-    observation: ActivationObservation | None = None
-
-    @property
-    def event(self) -> TriggerEvent:
-        return self.verification.event
 
 
 def _queues(keyed: Iterable[tuple[TriggerEvent, object]]) -> tuple[dict, dict]:
@@ -376,7 +352,7 @@ def _queues(keyed: Iterable[tuple[TriggerEvent, object]]) -> tuple[dict, dict]:
 
 def join_records(
     events: Sequence[TriggerEvent],
-    verifications: Sequence[tuple[VerificationResult, ActivationObservation]],
+    verifications: Sequence[VerificationResult],
     adjudications: Sequence[Adjudication],
 ) -> list[TriggerAnalysis]:
     """Join the three logs on (speaker, media, position).
@@ -386,14 +362,14 @@ def join_records(
     reported the same way.  Records that share a key pair up in log order:
     the i-th event of a key gets that key's i-th record.
     """
-    ver_first, ver_later = _queues((pair[0].event, pair) for pair in verifications)
+    ver_first, ver_later = _queues((ver.event, ver) for ver in verifications)
     adj_first, adj_later = _queues((adj.event, adj) for adj in adjudications)
     analyses = []
     unverified = 0
     for event in events:
         key = (event.speaker_id, event.media_id, event.progress_s)
-        pair = ver_first.pop(key, None)
-        if pair is None:
+        verification = ver_first.pop(key, None)
+        if verification is None:
             unverified += 1
             continue
         queue = ver_later.get(key)
@@ -403,8 +379,7 @@ def join_records(
         queue = adj_later.get(key)
         if queue:
             adj_first[key] = queue.pop()
-        verification, observation = pair
-        analyses.append(TriggerAnalysis(verification, adjudication, observation))
+        analyses.append(TriggerAnalysis(verification, adjudication))
     if unverified:
         log.warning("%d events have no verification record", unverified)
     orphans = (len(ver_first) + sum(map(len, ver_later.values()))
@@ -420,16 +395,29 @@ class Summary:
 
     ``counts`` maps (media_id, speaker_id) to [accidental, discarded,
     needs_review]; ``bins`` and ``activation`` aggregate per speaker.
+    ``windows`` holds a (media_id, speaker_id, progress_s, start_s, end_s)
+    row for every event whose media has a length, in analysis order; it is
+    None when no lengths were given.  A row holds strings and floats only,
+    not the event, so the garbage collector stops tracking it; 100k rows
+    that held events would add full collections to a large run.
     """
 
     counts: dict[tuple[str, str], list[int]]
     bins: dict[str, dict[str, int]]
     activation: dict[str, dict[str, int]]
     kappa: float | None = None
+    windows: list[tuple[str, str, float, float, float]] | None = None
 
 
-def summarize(analyses: Sequence[TriggerAnalysis]) -> Summary:
-    """Fold analyses into the per-media/per-speaker summary."""
+def summarize(
+    analyses: Sequence[TriggerAnalysis],
+    media_lengths: Mapping[str, float] | None = None,
+) -> Summary:
+    """Fold analyses into the per-media/per-speaker summary.
+
+    With ``media_lengths``, every event also gets its replay window; an
+    event whose media has no length is left out, with one warning per media.
+    """
     counts: dict[tuple[str, str], list[int]] = {}
     bins: dict[str, dict[str, int]] = {}
     activation: dict[str, dict[str, int]] = {}
@@ -439,11 +427,14 @@ def summarize(analyses: Sequence[TriggerAnalysis]) -> Summary:
     bin_of = [bin_reproducibility(hits) for hits in range(MAX_REPLAYS + 1)]
     labels_a: list[str] = []
     labels_b: list[str] = []
+    windows = [] if media_lengths else None
+    unknown: dict[str, int] = {}  # media id -> events without a length
     for analysis in analyses:
         verification = analysis.verification
         event = verification.event
         speaker = event.speaker_id
-        key = (event.media_id, speaker)
+        media_id = event.media_id
+        key = (media_id, speaker)
         row = counts.get(key)
         if row is None:
             row = counts[key] = [0, 0, 0]
@@ -459,14 +450,21 @@ def summarize(analyses: Sequence[TriggerAnalysis]) -> Summary:
         if speaker_bins is None:
             speaker_bins = bins[speaker] = dict.fromkeys(BINS, 0)
         speaker_bins[bin_of[verification.hits]] += 1
-        observation = analysis.observation
-        if observation is not None:
-            speaker_act = activation.get(speaker)
-            if speaker_act is None:
-                speaker_act = activation[speaker] = {"local": 0, "local_plus_cloud": 0}
-            speaker_act[classify_activation(observation)] += 1
+        speaker_act = activation.get(speaker)
+        if speaker_act is None:
+            speaker_act = activation[speaker] = {"local": 0, "local_plus_cloud": 0}
+        speaker_act[classify_activation(verification)] += 1
+        if windows is not None:
+            length = media_lengths.get(media_id)
+            if length is None:
+                unknown[media_id] = unknown.get(media_id, 0) + 1
+            else:
+                start, end = verification_window(event, length)
+                windows.append((media_id, speaker, event.progress_s, start, end))
+    for media_id, count in unknown.items():
+        log.warning("no media length configured for %r (%d events)", media_id, count)
     kappa = cohens_kappa(labels_a, labels_b) if labels_a else None
-    return Summary(counts=counts, bins=bins, activation=activation, kappa=kappa)
+    return Summary(counts, bins, activation, kappa, windows)
 
 
 def format_summary(summary: Summary) -> str:
@@ -474,7 +472,8 @@ def format_summary(summary: Summary) -> str:
 
     The [counts] section mirrors the usual prevalence table: one row per
     (media, speaker) with accidental (A) and wake-word/discarded (W)
-    columns, plus the still-unreviewed count.
+    columns, plus the still-unreviewed count.  The [windows] section, when
+    the summary has windows, writes each number to 12 significant digits.
     """
     lines = ["[counts]", "media\tspeaker\tA\tW\tneeds_review"]
     totals: dict[str, list[int]] = {}
@@ -502,4 +501,9 @@ def format_summary(summary: Summary) -> str:
     if summary.kappa is not None:
         lines.append("[agreement]")
         lines.append(f"cohens_kappa\t{summary.kappa:.6f}")
+    if summary.windows is not None:
+        lines.append("[windows]")
+        lines.append("media\tspeaker\tprogress_s\tstart_s\tend_s")
+        for media_id, speaker_id, progress, start, end in summary.windows:
+            lines.append(f"{media_id}\t{speaker_id}\t{progress:.12g}\t{start:.12g}\t{end:.12g}")
     return "\n".join(lines) + "\n"

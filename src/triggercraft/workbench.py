@@ -114,7 +114,7 @@ class WorkbenchConfig:
         if self._inventory is None:
             self._inventory = (
                 PhoneInventory.default() if self.inventory_path is None
-                else _parse_file(self.inventory_path, PhoneInventory.load)
+                else _load(self.inventory_path, "inventory file", PhoneInventory.load)
             )
         return self._inventory
 
@@ -488,29 +488,8 @@ def cmd_harness(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     verifications = _parse_file(args.verification, harness_mod.parse_verification_log)
     adjudications = _parse_file(args.adjudication, harness_mod.parse_adjudication_log)
     analyses = harness_mod.join_records(events, verifications, adjudications)
-    summary = harness_mod.summarize(analyses)
-    body = harness_mod.format_summary(summary)
-    if config.media_lengths:
-        window_lines = ["[windows]", "media\tspeaker\tprogress_s\tstart_s\tend_s"]
-        lengths = config.media_lengths
-        window = harness_mod.verification_window
-        unknown: dict[str, int] = {}  # media id -> events without a length
-        for analysis in analyses:
-            event = analysis.verification.event
-            media_id = event.media_id
-            length = lengths.get(media_id)
-            if length is None:
-                unknown[media_id] = unknown.get(media_id, 0) + 1
-                continue
-            start, end = window(event, length)
-            # Numbers as _fmt writes them.
-            window_lines.append(
-                f"{media_id}\t{event.speaker_id}\t{event.progress_s:.12g}\t{start:.12g}\t{end:.12g}"
-            )
-        for media_id, count in unknown.items():
-            log.warning("no media length configured for %r (%d events)", media_id, count)
-        body += "\n".join(window_lines) + "\n"
-    writer.write("harness_summary.tsv", body)
+    summary = harness_mod.summarize(analyses, config.media_lengths)
+    writer.write("harness_summary.tsv", harness_mod.format_summary(summary))
     return 0
 
 

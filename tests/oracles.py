@@ -40,7 +40,6 @@ from triggercraft.errors import (
     UnknownPhone,
 )
 from triggercraft.harness import (
-    ActivationObservation,
     Adjudication,
     TriggerEvent,
     VerificationResult,
@@ -390,8 +389,7 @@ def _reference_verification(record: dict, event: TriggerEvent, lineno: int):
         cloud = _field(record, "cloud_pattern", lambda v: type(v) is bool, "true or false", False)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad verification record: {exc!r}", lineno) from None
-    return (VerificationResult(event, replays, hits),
-            ActivationObservation(event, led, voice, cloud))
+    return VerificationResult(event, replays, hits, led, voice, cloud)
 
 
 def _reference_adjudication(record: dict, event: TriggerEvent, lineno: int) -> Adjudication:
@@ -435,7 +433,7 @@ def reference_log(kind: str, lines) -> list:
 
 
 def reference_join(events, verifications, adjudications):
-    """(analyses as (verification, adjudication, observation), unverified, orphans).
+    """(analyses as (verification, adjudication), unverified, orphans).
 
     Each key's records wait in a list in log order; an event takes the
     first one left.
@@ -444,8 +442,8 @@ def reference_join(events, verifications, adjudications):
         return (event.speaker_id, event.media_id, event.progress_s)
 
     waiting_ver, waiting_adj = {}, {}
-    for pair in verifications:
-        waiting_ver.setdefault(key(pair[0].event), []).append(pair)
+    for verification in verifications:
+        waiting_ver.setdefault(key(verification.event), []).append(verification)
     for adj in adjudications:
         waiting_adj.setdefault(key(adj.event), []).append(adj)
     joined, unverified = [], 0
@@ -453,9 +451,9 @@ def reference_join(events, verifications, adjudications):
         if not waiting_ver.get(key(event)):
             unverified += 1
             continue
-        verification, observation = waiting_ver[key(event)].pop(0)
+        verification = waiting_ver[key(event)].pop(0)
         adjs = waiting_adj.get(key(event))
-        joined.append((verification, adjs.pop(0) if adjs else None, observation))
+        joined.append((verification, adjs.pop(0) if adjs else None))
     orphans = sum(len(v) for v in waiting_ver.values()) + sum(len(v) for v in waiting_adj.values())
     return joined, unverified, orphans
 

@@ -295,10 +295,10 @@ def test_measurement_arithmetic(report):
         )
         assert abs(cohens_kappa(a, b) - 0.8) < 1e-9
 
-        from triggercraft.harness import ActivationObservation
+        from triggercraft.harness import VerificationResult
 
-        short = ActivationObservation(event(1.0), led_on_s=1.99)
-        long = ActivationObservation(event(1.0), led_on_s=2.0)
+        short = VerificationResult(event(1.0), led_on_s=1.99)
+        long = VerificationResult(event(1.0), led_on_s=2.0)
         assert classify_activation(short) == "local"
         assert classify_activation(long) == "local_plus_cloud"
 

@@ -18,7 +18,6 @@ from triggercraft.errors import (
     ParseError,
 )
 from triggercraft.harness import (
-    ActivationObservation,
     Adjudication,
     TriggerAnalysis,
     TriggerEvent,
@@ -129,19 +128,19 @@ class TestParseVerificationLog:
     BASE = '{"ts": "2019-10-01T12:00:00Z", "media": "x", "progress_s": 5.0, "speaker": "VA1"'
 
     def test_defaults(self):
-        [(ver, obs)] = parse_verification_log(io.StringIO(self.BASE + ', "hits": 7}\n'))
+        [ver] = parse_verification_log(io.StringIO(self.BASE + ', "hits": 7}\n'))
         assert ver.replays == 10
         assert ver.hits == 7
-        assert obs.led_on_s == 0.0
-        assert obs.voice_response is False
-        assert obs.pattern_cloud_signal is False
+        assert ver.led_on_s == 0.0
+        assert ver.voice_response is False
+        assert ver.pattern_cloud_signal is False
 
     def test_full_record(self):
         line = self.BASE + ', "replays": 5, "hits": 2, "led_on_s": 2.5, "voice_response": true, "cloud_pattern": true}\n'
-        [(ver, obs)] = parse_verification_log(io.StringIO(line))
+        [ver] = parse_verification_log(io.StringIO(line))
         assert (ver.replays, ver.hits) == (5, 2)
-        assert obs.led_on_s == 2.5
-        assert obs.voice_response and obs.pattern_cloud_signal
+        assert ver.led_on_s == 2.5
+        assert ver.voice_response and ver.pattern_cloud_signal
 
     def test_hits_required(self):
         with pytest.raises(ParseError):
@@ -174,10 +173,10 @@ class TestParseVerificationLog:
 
     def test_integral_float_counts_accepted(self):
         line = self.BASE + ', "replays": 10.0, "hits": 3.0, "voice_response": false}\n'
-        [(ver, obs)] = parse_verification_log(io.StringIO(line))
+        [ver] = parse_verification_log(io.StringIO(line))
         assert (ver.replays, ver.hits) == (10, 3)
         assert type(ver.hits) is int and type(ver.replays) is int
-        assert obs.voice_response is False
+        assert ver.voice_response is False
 
     def test_fixture_file(self, fixtures_dir):
         with open(fixtures_dir / "verification.jsonl") as fh:
@@ -190,8 +189,8 @@ class TestParseVerificationLog:
         assert err.value.line == 2
 
     def test_integer_led_on_accepted(self):
-        [(_, obs)] = parse_verification_log(io.StringIO(record(hits="2", led_on_s="3")))
-        assert obs.led_on_s == 3.0 and type(obs.led_on_s) is float
+        [ver] = parse_verification_log(io.StringIO(record(hits="2", led_on_s="3")))
+        assert ver.led_on_s == 3.0 and type(ver.led_on_s) is float
 
     @pytest.mark.parametrize("replays,hits", [(20, 15), (11, 0)])
     def test_replays_at_most_ten(self, replays, hits):
@@ -265,9 +264,6 @@ class TestBinReproducibility:
         with pytest.raises(OutOfRange):
             bin_reproducibility(bad)
 
-    def test_verification_result_bin_property(self):
-        assert VerificationResult(event(), hits=9).bin == "high"
-
 
 class TestVerificationResult:
     def test_hits_bounded_by_replays(self):
@@ -316,7 +312,7 @@ def test_every_constructed_result_is_summarized_in_its_bin(replays, hits):
 
 class TestClassifyActivation:
     def obs(self, led=0.0, voice=False, pattern=False):
-        return ActivationObservation(
+        return VerificationResult(
             event(), led_on_s=led, voice_response=voice, pattern_cloud_signal=pattern
         )
 
@@ -363,10 +359,6 @@ class TestAdjudicate:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             adjudicate("accidental", "hmm")
-
-    def test_dataclass_resolution_property(self):
-        adj = Adjudication(event(), "accidental", "accidental")
-        assert adj.resolution == "accidental"
 
     def test_dataclass_validates_labels(self):
         with pytest.raises(ValueError):
@@ -421,10 +413,9 @@ class TestCohensKappa:
 
 def analysis(speaker, media, progress, hits, labels=None, led=0.0, voice=False):
     ev = TriggerEvent(TS, media, progress, speaker)
-    ver = VerificationResult(ev, hits=hits)
-    obs = ActivationObservation(ev, led_on_s=led, voice_response=voice)
+    ver = VerificationResult(ev, hits=hits, led_on_s=led, voice_response=voice)
     adj = Adjudication(ev, *labels) if labels else None
-    return TriggerAnalysis(verification=ver, adjudication=adj, observation=obs)
+    return TriggerAnalysis(verification=ver, adjudication=adj)
 
 
 class TestJoinRecords:
@@ -448,7 +439,7 @@ class TestJoinRecords:
             self._lines([self.base(10.0, reviewer_a="accidental", reviewer_b="accidental")])
         )
         analyses = join_records(events, vers, adjs)
-        assert [a.event.progress_s for a in analyses] == [10.0, 20.0]
+        assert [a.verification.event.progress_s for a in analyses] == [10.0, 20.0]
         assert analyses[0].verification.hits == 9
         assert analyses[0].adjudication is not None
         assert analyses[1].adjudication is None
@@ -493,7 +484,7 @@ class TestJoinRecords:
         ))
         with caplog.at_level(logging.WARNING, logger="triggercraft.harness"):
             analyses = join_records(events, vers, adjs)
-        assert [(a.event.progress_s, a.verification.hits) for a in analyses] == [
+        assert [(a.verification.event.progress_s, a.verification.hits) for a in analyses] == [
             (10.0, 1), (10.0, 2), (20.0, 5)
         ]
         assert [a.adjudication.reviewer_a if a.adjudication else None for a in analyses] == [

@@ -24,7 +24,6 @@ from oracles import dictionary_listing, reference_join, reference_log
 from triggercraft.errors import ConfigError, TriggerCraftError
 from triggercraft.harness import (
     MAX_REPLAYS,
-    ActivationObservation,
     Adjudication,
     TriggerEvent,
     VerificationResult,
@@ -109,7 +108,7 @@ def test_arbitrary_json_objects(parse, objects):
     except TriggerCraftError:
         return
     for item in parsed:
-        event = item[0].event if isinstance(item, tuple) else getattr(item, "event", item)
+        event = getattr(item, "event", item)
         assert isinstance(event.media_id, str) and isinstance(event.speaker_id, str)
         assert math.isfinite(event.progress_s) and event.progress_s >= 0
 
@@ -238,13 +237,12 @@ def test_join_pairs_like_the_reference(event_keys, ver_keys, adj_keys):
         return TriggerEvent(TS, media, progress, speaker)
 
     events = [ev(key) for key in event_keys]
-    verifications = [(VerificationResult(ev(key), hits=n % 11), ActivationObservation(ev(key)))
-                     for n, key in enumerate(ver_keys)]
+    verifications = [VerificationResult(ev(key), hits=n % 11) for n, key in enumerate(ver_keys)]
     adjudications = [Adjudication(ev(key), "accidental", "related-word") for key in adj_keys]
     joined, unverified, orphans = reference_join(events, verifications, adjudications)
     with harness_warnings() as messages:
         analyses = join_records(events, verifications, adjudications)
-    got = [(a.verification, a.adjudication, a.observation) for a in analyses]
+    got = [(a.verification, a.adjudication) for a in analyses]
     assert [tuple(map(id, row)) for row in got] == [tuple(map(id, row)) for row in joined]
     assert messages == expected_warnings(unverified, orphans)
 

@@ -3,8 +3,12 @@
 import json
 import logging
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import one_at_a_time
 from triggercraft import tuning, workbench
@@ -432,6 +436,19 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_malformed_inventory_class_line(self, tmp_path, fixtures_dir, caplog):
+        inventory = tmp_path / "inventory.txt"
+        inventory.write_text("AH vowelish\n", encoding="utf-8")
+        config = write_config(tmp_path, fixtures_dir, inventory=str(inventory))
+        argv = ["--config", str(config), "--out", str(tmp_path / "out"),
+                "blocklist", "--wake", "VA1"]
+        with caplog.at_level(logging.ERROR, logger="triggercraft.workbench"):
+            assert main(argv) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+            "bad inventory file: line 1: unknown phone class 'vowelish'"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_fractional_hits_in_verification_log(self, config_path, tmp_path, fixtures_dir):
         bad = tmp_path / "verification.jsonl"
         bad.write_text(
@@ -503,7 +520,7 @@ INPUT_FILES = {
     "config": ([], ["--config", "{bad}", "blocklist", "--wake", "VA1"], 1),  # last --config wins
     "dictionary": (["dictionary"], ["blocklist", "--wake", "VA1"], 1),
     "wake-words": (["wake_words"], ["blocklist", "--wake", "VA1"], 1),
-    "inventory": (["inventory"], ["blocklist", "--wake", "VA1"], 2),
+    "inventory": (["inventory"], ["blocklist", "--wake", "VA1"], 1),
     "transcripts": ([], ["rank", "--wake", "VA1", "--source", "transcripts",
                          "--transcripts", "{bad}"], 2),
     "ngram-transcripts": ([], ["ngrams", "--n", "1", "--transcripts", "{bad}"], 2),
@@ -949,10 +966,10 @@ class TestHarnessCommand:
 
     def test_missing_media_length_warned_once_per_media(self, tmp_path, fixtures_dir, caplog):
         config = write_config(tmp_path, fixtures_dir, media_lengths={"show_a_e01": 1320.0})
-        with caplog.at_level(logging.WARNING, logger="triggercraft.workbench"):
+        with caplog.at_level(logging.WARNING, logger="triggercraft.harness"):
             out = run(str(config), tmp_path / "out", *self.harness_args(fixtures_dir))
         warnings = [r.getMessage() for r in caplog.records
-                    if r.name == "triggercraft.workbench" and r.levelno == logging.WARNING]
+                    if r.name == "triggercraft.harness" and r.levelno == logging.WARNING]
         assert warnings == ["no media length configured for 'news_b_e02' (34 events)"]
         rows = (out / "harness_summary.tsv").read_text().split("[windows]\n", 1)[1].splitlines()
         assert len(rows) == 1 + 66
@@ -981,6 +998,20 @@ class TestHarnessCommand:
             "m\tVA1\t100.123456789\t93.123456789\t101",
         ]
 
+    def test_event_past_media_end_names_its_record(self, tmp_path, fixtures_dir, caplog):
+        # The first event, VA1 at 381.4 s of news_b_e02, lies past a 300 s end.
+        config = write_config(tmp_path, fixtures_dir,
+                              media_lengths={"show_a_e01": 1320.0, "news_b_e02": 300.0})
+        argv = ["--config", str(config), "--out", str(tmp_path / "out"),
+                *self.harness_args(fixtures_dir)]
+        with caplog.at_level(logging.ERROR, logger="triggercraft.workbench"):
+            assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1
+        assert "'VA1'" in errors[0] and "'news_b_e02'" in errors[0]
+        assert "past media end (300.0s)" in errors[0]
+        assert not (tmp_path / "out" / "harness_summary.tsv").exists()
+
     def test_windows_skipped_without_media_lengths(self, tmp_path, fixtures_dir):
         config = write_config(tmp_path, fixtures_dir)
         out = run(str(config), tmp_path / "out", *self.harness_args(fixtures_dir))
@@ -995,6 +1026,61 @@ class TestHarnessCommand:
             media, _speaker, progress, start, end = row.split("\t")
             assert 0.0 <= float(start) < float(end) <= lengths[media]
             assert float(start) >= float(progress) - 7.0 - 1e-9
+
+
+# Hostile JSON values, as the text written in place of one value of one log
+# line: a NaN, the infinities, a number past the largest double, the
+# smallest subnormal, the other JSON types, an integer past the 4,300-digit
+# conversion limit, nesting past the recursion limit and a lone surrogate.
+HOSTILE_VALUES = ["NaN", "Infinity", "-Infinity", "1e309", "5e-324", "true", "false", "null",
+                  '""', "1" * 5000, "[" * 100_000 + "]" * 100_000, '"\\ud800"']
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_LOGS = {name: (FIXTURES / f"{name}.jsonl").read_text(encoding="utf-8")
+                .splitlines(keepends=True) for name in ("events", "verification", "adjudication")}
+
+
+@st.composite
+def hostile_logs(draw):
+    """The fixture logs with one line changed: one of its values replaced by
+    a hostile one, or the line duplicated or dropped."""
+    logs = {name: list(lines) for name, lines in FIXTURE_LOGS.items()}
+    lines = logs[draw(st.sampled_from(sorted(logs)))]
+    index = draw(st.integers(0, len(lines) - 1))
+    change = draw(st.sampled_from(["replace", "duplicate", "drop"]))
+    if change == "duplicate":
+        lines.insert(index, lines[index])
+    elif change == "drop":
+        del lines[index]
+    else:
+        record = json.loads(lines[index])
+        key = draw(st.sampled_from(sorted(record)))
+        value = draw(st.sampled_from(HOSTILE_VALUES))
+        lines[index] = "{" + ", ".join(
+            f"{json.dumps(k)}: {value if k == key else json.dumps(v)}" for k, v in record.items()
+        ) + "}\n"
+    return logs
+
+
+@settings(max_examples=60, deadline=None)
+@given(logs=hostile_logs())
+def test_harness_on_hostile_log_lines(logs):
+    # Exit 0 with the same bytes on a second run, or exit 2 with no summary.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = ["--config", str(FIXTURES / "config.json"), "--no-timestamp", "harness"]
+        for name, lines in logs.items():
+            (root / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+            argv += [f"--{name}", str(root / f"{name}.jsonl")]
+        summaries = []
+        for run_dir in ("first", "second"):
+            code = main(["--out", str(root / run_dir), *argv])
+            summary = root / run_dir / "harness_summary.tsv"
+            assert code in (0, 2)
+            if code:
+                assert not summary.exists()
+                return
+            summaries.append(summary.read_bytes())
+        assert summaries[0] == summaries[1]
 
 
 # Probe-score lines that `weights build` must reject rather than turn into a
