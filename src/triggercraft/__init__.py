@@ -14,7 +14,6 @@ The package splits into focused modules:
 from .candidates import (
     Candidate,
     RankedList,
-    SynthesisManifest,
     Vocabulary,
     Voice,
     build_blocklist,

@@ -7,7 +7,8 @@ candidates tied at the cut-off so the list size is exact and reproducible.
 A :class:`Vocabulary` keeps its candidates as columns, built once and read
 by every ranking and tuning pass against it.  Both sources are dictionary
 rows: a word's own, or a phrase's (an n-gram or a trigger phrase) joined
-from its words' rows by :func:`~triggercraft.lexicon.join_rows`.
+from its words' rows by :func:`~triggercraft.lexicon.join_rows`.  The
+synthesis manifest is plain rows, one per (candidate, voice).
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from .lexicon import (
 __all__ = [
     "Candidate",
     "DEFAULT_VOICES",
-    "ManifestEntry",
     "RankedItem",
     "RankedList",
-    "SynthesisManifest",
     "Vocabulary",
     "Voice",
     "blocked_labels",
@@ -339,20 +338,6 @@ DEFAULT_VOICES = (
 )
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    label: str
-    voice_id: str
-    voice_kind: str
-    gender: str
-    file_name: str
-
-
-@dataclass
-class SynthesisManifest:
-    entries: list[ManifestEntry]
-
-
 def _validate_voices(voices: Sequence[Voice]) -> None:
     standard = [v for v in voices if v.kind == "standard"]
     wavenet = [v for v in voices if v.kind == "wavenet"]
@@ -373,8 +358,9 @@ def _slug(label: str) -> str:
 def export_manifest(
     ranked: RankedList,
     voices: Sequence[Voice] = DEFAULT_VOICES,
-) -> SynthesisManifest:
-    """One synthesis job per (ranked candidate, voice), rank-major order.
+) -> list[tuple[str, str, str, str, str]]:
+    """One synthesis job per (ranked candidate, voice), rank-major order:
+    a ``(label, voice id, voice kind, gender, file name)`` row each.
 
     Output file names follow ``<rank>_<slug>_<voice>.wav``.  Distinct labels
     that collapse to the same slug are disambiguated with a numeric suffix
@@ -393,15 +379,9 @@ def export_manifest(
             slug = f"{slug}_{k}"
         used.add(slug)
         slugs[item.candidate.label] = slug
-    entries = [
-        ManifestEntry(
-            label=item.candidate.label,
-            voice_id=voice.id,
-            voice_kind=voice.kind,
-            gender=voice.gender,
-            file_name=f"{item.rank}_{slugs[item.candidate.label]}_{voice.id}.wav",
-        )
+    return [
+        (item.candidate.label, voice.id, voice.kind, voice.gender,
+         f"{item.rank}_{slugs[item.candidate.label]}_{voice.id}.wav")
         for item in ranked.items
         for voice in voices
     ]
-    return SynthesisManifest(entries=entries)

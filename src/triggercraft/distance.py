@@ -233,6 +233,7 @@ class CostContext:
     A context caches per-phone weights, never costs: the deletion weight of
     each wake-word position, and the substitution and insertion weights of
     the phones that candidates use, filled on first use (a match weighs 0).
+    :meth:`weights` lays them out over a code space for the batched passes.
     Missing advanced-table entries fall back to a neutral weight of 1,
     logged once per :class:`WeightTable`, however many contexts read it.
     """
@@ -245,7 +246,7 @@ class CostContext:
         self.wake = tuple(wake)
         self.model = model
         self.n = len(wake)
-        self._del_weights = [self._weight("deletion", p) for p in self.wake]
+        self._del_weights = tuple(self._weight("deletion", p) for p in self.wake)
         # One substitution row per wake position, the free match already in.
         self._sub_weights: list[dict[str, float]] = [{p: 0.0} for p in self.wake]
         self._ins_weights: dict[str, float] = {}
@@ -269,6 +270,17 @@ class CostContext:
             weight = self._ins_weights[q] = self._weight("insertion", q)
         return weight
 
+    def weights(self, phones: Sequence[str], used) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """``sub[i, c]`` (0 on a match) and ``ins[c]`` weigh pairing wake phone i
+        with ``phones[c]`` and inserting it, looked up for the ``used`` codes
+        only (0 for the others); ``dels[i]`` weighs deleting wake phone i."""
+        sub = np.zeros((self.n, len(phones)))
+        ins = np.zeros(len(phones))
+        looked_up = [phones[c] for c in used]
+        sub[:, used] = [[self._sub_weight(i, q) for q in looked_up] for i in range(self.n)]
+        ins[used] = [self._ins_weight(q) for q in looked_up]
+        return sub, ins, self._del_weights
+
     def best_cost(self, prons: Sequence[PhoneSeq]) -> float:
         """Minimum rewrite cost over a candidate's pronunciation variants."""
         # :meth:`score` of one candidate, kept as a method since perfbench/tracing.py wraps it.
@@ -290,14 +302,11 @@ class CostContext:
                 positions, block = positions[cols], block[:, cols]
             blocks.append((positions, block))
             occurs += np.bincount(block.ravel(), minlength=len(occurs))
-        used = np.flatnonzero(occurs)
-        phones = [codes.phones[c] for c in used]
+        sub, ins, dels = self.weights(codes.phones, np.flatnonzero(occurs))
         scales = self.model.scales
-        sub = np.zeros((self.n, len(occurs)))
-        sub[:, used] = [[scales.s * self._sub_weight(i, q) for q in phones] for i in range(self.n)]
-        ins = np.zeros(len(occurs))
-        ins[used] = [scales.i * self._ins_weight(q) for q in phones]
-        del_costs = [scales.d * w for w in self._del_weights]
+        sub *= scales.s
+        ins *= scales.i
+        del_costs = [scales.d * w for w in dels]
 
         pron_costs = np.full(len(codes.lengths), np.inf)
         for positions, block in blocks:

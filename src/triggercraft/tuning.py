@@ -24,8 +24,10 @@ reductions over those vectors.
 
 The rank pass reads the vocabulary's columns and runs the one kernel,
 ``distance.rewrite_costs``, with the grid along its vectors: per code row,
-two preallocated rows of m+1 float vectors over the grid.  Each point
-performs exactly the float arithmetic of ranking at that point.
+two preallocated rows of m+1 float vectors over the grid.  An edit costs
+the grid's s, d or i vector times the weight ``CostContext.weights`` gives
+it, one vector per wake position and per code a kept candidate uses, so
+each point performs exactly the float arithmetic of ranking at that point.
 """
 
 from __future__ import annotations
@@ -176,45 +178,16 @@ def _grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(axis, n * n), np.tile(np.repeat(axis, n), n), np.tile(axis, n * n)
 
 
-class _GridScorer:
-    """Rewrite costs for one wake word at every grid point simultaneously.
-
-    A candidate comes as rows of codes into ``phones``.  An edit costs the
-    grid's scale vector times the weight ``ctx`` holds for it, so each
-    point prices it as :class:`CostContext` does.
-    """
-
-    def __init__(self, ctx: CostContext, phones: Sequence[str], s_arr: np.ndarray,
-                 d_arr: np.ndarray, i_arr: np.ndarray):
-        self.wake = ctx.wake
-        self.ctx = ctx
-        self.phones = phones
-        self.s_arr, self.i_arr = s_arr, i_arr
-        self.del_vecs = [d_arr * w for w in ctx._del_weights]
-        self._sub_vecs: list[list[np.ndarray | None]] = [[None] * len(phones) for _ in ctx.wake]
-        self._ins_vecs: list[np.ndarray | None] = [None] * len(phones)
-
-    def _sub_vec(self, position: int, code: int) -> np.ndarray:
-        row = self._sub_vecs[position]
-        vec = row[code]
-        if vec is None:
-            vec = row[code] = self.s_arr * self.ctx._sub_weight(position, self.phones[code])
-        return vec
-
-    def _ins_vec(self, code: int) -> np.ndarray:
-        vec = self._ins_vecs[code]
-        if vec is None:
-            vec = self._ins_vecs[code] = self.i_arr * self.ctx._ins_weight(self.phones[code])
-        return vec
-
-    def best_cost(self, rows: Sequence[Sequence[int]]) -> np.ndarray:
-        best = None
-        for row in rows:
-            ins = [self._ins_vec(c) for c in row]
-            subs = ([self._sub_vec(i, c) for c in row] for i in range(len(self.wake)))
-            cost = rewrite_costs(len(self.s_arr), ins, subs, self.del_vecs)
-            best = cost if best is None else np.minimum(best, cost, out=best)
-        return best
+def _grid_cost(rows: Sequence[Sequence[int]], width: int, sub_vecs, ins_vecs,
+               del_vecs) -> np.ndarray:
+    """A candidate's minimum cost over its code ``rows`` at ``width`` grid points,
+    priced by ``sub_vecs[i][c]``, ``ins_vecs[c]`` and ``del_vecs[i]``."""
+    best = None
+    for row in rows:
+        subs = ([vecs[c] for c in row] for vecs in sub_vecs)
+        cost = rewrite_costs(width, [ins_vecs[c] for c in row], subs, del_vecs)
+        best = cost if best is None else np.minimum(best, cost, out=best)
+    return best
 
 
 def _wake_map(wakes: Sequence[WakeWordSpec]) -> dict[str, WakeWordSpec]:
@@ -281,7 +254,8 @@ class TriggerRanks:
 
     def _rank_pass(self, wake: WakeWordSpec) -> dict[str, np.ndarray]:
         vocab = self.vocab
-        kept = np.flatnonzero(vocab.keep_mask(wake, self.blocklists.get(wake.id, ()))).tolist()
+        keep = vocab.keep_mask(wake, self.blocklists.get(wake.id, ()))
+        kept = np.flatnonzero(keep).tolist()
         # A label's target is the first kept candidate carrying it.
         wanted = set(self.labels.get(wake.id, ()))
         target_of: dict[str, int] = {}
@@ -291,19 +265,30 @@ class TriggerRanks:
                 target_of[label] = idx
         missing = wanted - target_of.keys()
         if missing:
-            raise UnknownLabel(f"labels not in vocabulary for {wake.id!r}: {sorted(missing)}")
+            blocked = missing.intersection(vocab.normalized_labels)
+            problems = [f"labels {what} for {wake.id!r}: {sorted(labels)}"
+                        for what, labels in (("blocked", blocked),
+                                             ("not in vocabulary", missing - blocked)) if labels]
+            raise UnknownLabel("; ".join(problems))
         if not target_of:
             return {}
         codes = vocab.codes
-        scorer = _GridScorer(CostContext(wake.phones, self.model), codes.phones, *self._arrays)
-        costs = {idx: scorer.best_cost(codes.rows(idx)) for idx in target_of.values()}
+        # One grid vector per wake position and code a kept candidate uses:
+        # the grid's scales times the context's weights, as a point prices it.
+        s, d, i = self._arrays
+        used = np.unique(codes.codes[np.repeat(np.repeat(keep, codes.counts), codes.lengths)])
+        sub, ins, dels = CostContext(wake.phones, self.model).weights(codes.phones, used)
+        used = used.tolist()
+        prices = (len(s), [{c: s * row[c] for c in used} for row in sub],
+                  {c: i * ins[c] for c in used}, [d * w for w in dels])
+        costs = {idx: _grid_cost(codes.rows(idx), *prices) for idx in target_of.values()}
         labels = list(target_of)
         targets = np.array([costs[target_of[lbl]] for lbl in labels])
         counts = np.ones(targets.shape, dtype=np.int64)
         for idx in kept:
             cost = costs.get(idx)
             if cost is None:
-                cost = scorer.best_cost(codes.rows(idx))
+                cost = _grid_cost(codes.rows(idx), *prices)
             counts += cost < targets
         return dict(zip(labels, counts))
 

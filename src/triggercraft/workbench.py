@@ -348,13 +348,9 @@ def format_ranked_list(ranked: RankedList) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_manifest(manifest: cand_mod.SynthesisManifest) -> str:
-    lines = ["label\tvoice\tkind\tgender\tfile"]
-    for entry in manifest.entries:
-        lines.append(
-            f"{entry.label}\t{entry.voice_id}\t{entry.voice_kind}"
-            f"\t{entry.gender}\t{entry.file_name}"
-        )
+def format_manifest(rows: Sequence[tuple[str, ...]]) -> str:
+    """A header, then one tab-separated line per ``export_manifest`` row."""
+    lines = ["label\tvoice\tkind\tgender\tfile", *map("\t".join, rows)]
     return "\n".join(lines) + "\n"
 
 

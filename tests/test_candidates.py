@@ -402,22 +402,22 @@ class TestExportManifest:
         return rank_candidates(vocab, wake, UNWEIGHTED, k=len(labels), seed=0)
 
     def test_rank_major_voice_minor_order(self):
-        manifest = export_manifest(self._ranked(["alpha", "beta"]))
-        assert len(manifest.entries) == 20
-        assert [e.label for e in manifest.entries[:10]] == ["alpha"] * 10
-        assert [e.voice_id for e in manifest.entries[:4]] == [
+        rows = export_manifest(self._ranked(["alpha", "beta"]))
+        assert len(rows) == 20
+        assert [label for label, *_ in rows[:10]] == ["alpha"] * 10
+        assert [voice_id for _, voice_id, *_ in rows[:4]] == [
             "standard-a", "standard-b", "standard-c", "standard-d",
         ]
 
     def test_file_name_pattern(self):
-        manifest = export_manifest(self._ranked(["a lesson"]))
-        assert manifest.entries[0].file_name == "1_a_lesson_standard-a.wav"
-        assert manifest.entries[-1].file_name == "1_a_lesson_wavenet-f.wav"
+        rows = export_manifest(self._ranked(["a lesson"]))
+        assert rows[0][-1] == "1_a_lesson_standard-a.wav"
+        assert rows[-1][-1] == "1_a_lesson_wavenet-f.wav"
 
     def test_slug_collisions_suffixed(self, caplog):
         with caplog.at_level(logging.WARNING, logger="triggercraft.candidates"):
-            manifest = export_manifest(self._ranked(["a lesson", "a-lesson"]))
-        names = {e.file_name for e in manifest.entries}
+            rows = export_manifest(self._ranked(["a lesson", "a-lesson"]))
+        names = {file_name for *_, file_name in rows}
         assert len(names) == 20
         assert any("_2_" in name for name in names)
         assert any("collision" in r.message for r in caplog.records)
@@ -431,7 +431,7 @@ class TestExportManifest:
             seed=0,
         )
         ranked.items = []
-        assert export_manifest(ranked).entries == []
+        assert export_manifest(ranked) == []
 
     def test_default_voice_pool_is_valid(self):
         assert len(DEFAULT_VOICES) == 10

@@ -1,7 +1,9 @@
-"""The public surface: the package imports, and every module's ``__all__``
-names only what the module has."""
+"""The public surface: the package imports, every module's ``__all__``
+names only what the module has, and every name the benchmark's tracer
+wraps exists."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -14,6 +16,7 @@ import triggercraft
 
 SRC = Path(triggercraft.__file__).resolve().parent.parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(triggercraft.__path__))
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def test_the_package_imports_in_a_fresh_interpreter():
@@ -31,3 +34,15 @@ def test_every_name_in_all_exists(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [symbol for symbol in exported if not hasattr(module, symbol)] == []
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # perfbench/tracing.py wraps program names from outside; deleting one
+    # breaks the benchmark, which tier-1 does not run.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    importlib.import_module("triggercraft.workbench")
+    targets = tracing._targets(triggercraft)
+    assert targets
+    assert [(owner, attr) for owner, attr, *_ in targets if not hasattr(owner, attr)] == []

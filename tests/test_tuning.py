@@ -6,6 +6,7 @@ import logging
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -322,10 +323,27 @@ class TestGridSearch:
 
     def test_unknown_trigger_label(self, setup):
         vocab, wakes, _, _ = setup
-        with pytest.raises(UnknownLabel, match="zyzzyva"):
+        with pytest.raises(UnknownLabel) as info:
             grid_search(
                 [LabeledTrigger("VA1", "zyzzyva")], vocab, wakes, Grid(0, 1, 1)
             )
+        assert str(info.value) == "labels not in vocabulary for 'VA1': ['zyzzyva']"
+
+    BLOCKING = WakeWordSpec(id="W", text="wake", phones=("B", "AE", "T"),
+                            explicit_blocklist=("bat",))
+    BAT_CAT = [cand("bat", ("B", "AE", "T")), cand("cat", ("K", "AE", "T"))]
+
+    def test_blocked_trigger_label_is_reported_blocked(self):
+        with pytest.raises(UnknownLabel) as info:
+            grid_search([LabeledTrigger("W", "bat")], self.BAT_CAT, [self.BLOCKING], Grid(0, 1, 1))
+        assert str(info.value) == "labels blocked for 'W': ['bat']"
+
+    def test_blocked_and_absent_labels_are_reported_apart(self):
+        triggers = [LabeledTrigger("W", "zyzzyva"), LabeledTrigger("W", "bat")]
+        with pytest.raises(UnknownLabel) as info:
+            grid_search(triggers, self.BAT_CAT, [self.BLOCKING], Grid(0, 1, 1))
+        assert str(info.value) == ("labels blocked for 'W': ['bat']; "
+                                   "labels not in vocabulary for 'W': ['zyzzyva']")
 
     def test_advanced_requires_table(self, setup):
         vocab, wakes, triggers, _ = setup
@@ -520,6 +538,23 @@ class TestWeightFallback:
             ctx.best_cost((("ZH",),))
         assert caplog.messages.count(expected) == 1
 
+    def test_phone_only_in_blocked_candidates_is_never_looked_up(self, weight_table, caplog):
+        table = dataclasses.replace(
+            weight_table,
+            insertion={p: w for p, w in weight_table.insertion.items() if p != "ZH"},
+        )
+        wakes = [WakeWordSpec(id="WA", text="alpha", phones=("K", "AH"))]
+        vocab = [cand("kah", ("K", "AH")), cand("kahzh", ("K", "AH", "ZH"))]
+        triggers = [LabeledTrigger("WA", "kah")]
+        grid = Grid(0.5, 1.0, 0.5)
+        with caplog.at_level(logging.WARNING, logger="triggercraft.distance"):
+            TriggerRanks(triggers, vocab, wakes, grid, "advanced", table,
+                         {"WA": ["kahzh"]}).of("WA")
+            assert "'ZH'" not in caplog.text
+            # Kept, the same candidate's phone is looked up (and falls back).
+            TriggerRanks(triggers, vocab, wakes, grid, "advanced", table).of("WA")
+        assert "no insertion weight for 'ZH'; falling back to 1.0" in caplog.messages
+
 
 # ---------------------------------------------------------------------------
 # Property: one shared rank build agrees with rank_of at every grid point.
@@ -624,6 +659,17 @@ def test_shared_ranks_match_rank_of_everywhere(case):
 _any_weight = st.floats(0.05, 2.5)
 
 
+def grid_pass_costs(wake, prons, variant, table, grid):
+    """One candidate's cost at every grid point, from ``CostContext.weights``
+    times the grid's scale vectors, as the rank pass prices it."""
+    codes = PhoneCodes([prons])
+    sub, ins, dels = CostContext(wake, CostModel(variant, ScaleFactors(), table)).weights(
+        codes.phones, np.arange(len(codes.phones)))
+    s, d, i = tuning._grid_arrays(grid)
+    return tuning._grid_cost(codes.rows(0), len(s), [[s * w for w in row] for row in sub],
+                             [i * w for w in ins], [d * w for w in dels])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     wake=_pron,
@@ -645,10 +691,7 @@ def test_grid_pass_costs_equal_the_kernel(wake, prons, advanced, table, lo, step
     # Equal ranks can hide different costs; compare the costs, bit for bit.
     grid = Grid(lo, lo + 2 * step, step)
     variant, table = ("advanced", table) if advanced else ("simple", None)
-    ctx = CostContext(wake, CostModel(variant, ScaleFactors(), table))
-    codes = PhoneCodes([prons])
-    got = tuning._GridScorer(ctx, codes.phones, *tuning._grid_arrays(grid)).best_cost(
-        codes.rows(0))
+    got = grid_pass_costs(wake, prons, variant, table, grid)
     expected = [CostContext(wake, CostModel(variant, point, table)).best_cost(prons)
                 for point in grid.points()]
     assert got.tolist() == expected
@@ -682,10 +725,7 @@ def test_grid_pass_costs_equal_the_oracle(wake, prons, advanced, table, lo, step
     # The brute-force enumeration of edit scripts shares no code with the kernel.
     grid = Grid(lo, lo + step, step)
     variant, table = ("advanced", table) if advanced else ("simple", None)
-    ctx = CostContext(wake, CostModel(variant, ScaleFactors(), table))
-    codes = PhoneCodes([prons])
-    got = tuning._GridScorer(ctx, codes.phones, *tuning._grid_arrays(grid)).best_cost(
-        codes.rows(0))
+    got = grid_pass_costs(wake, prons, variant, table, grid)
     expected = [min(oracle_costs(wake, pron, [CostModel(variant, point, table)])[0]
                     for pron in prons)
                 for point in grid.points()]

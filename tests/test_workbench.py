@@ -769,6 +769,17 @@ class TestTuneCommand:
         assert code == 2
         assert "'xylophone' in phrase 'a xylophone'" in caplog.text
 
+    def test_blocked_trigger_is_a_data_error(self, config_path, tmp_path, caplog):
+        # "computed" is a dictionary word on VA2's configured blocklist.
+        triggers = tmp_path / "triggers.tsv"
+        triggers.write_text("wake_id\ttrigger_label\ttimes_triggered\nVA2\tcomputed\t3\n",
+                            encoding="utf-8")
+        code = main(["--config", config_path, "--out", str(tmp_path), "tune",
+                     "--triggers", str(triggers)])
+        assert code == 2
+        assert "labels blocked for 'VA2': ['computed']" in caplog.text
+        assert not (tmp_path / "tuning_report.tsv").exists()
+
     def test_advanced_loocv_report_matches_golden(self, config_path, tmp_path, fixtures_dir):
         out = run(config_path, tmp_path / "out", "tune",
                   "--triggers", str(fixtures_dir / "triggers.tsv"),
@@ -778,19 +789,19 @@ class TestTuneCommand:
 
     def test_one_rank_pass_per_wake(self, config_path, tmp_path, fixtures_dir, monkeypatch,
                                     mini_dictionary, wake_by_id):
-        scorers = []
+        passes = []  # [wake phones, candidates scored] per rank pass
+        rank_pass, grid_cost = tuning.TriggerRanks._rank_pass, tuning._grid_cost
 
-        class CountingScorer(tuning._GridScorer):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.scored = 0
-                scorers.append(self)
+        def counting_pass(self, wake):
+            passes.append([wake.phones, 0])
+            return rank_pass(self, wake)
 
-            def best_cost(self, prons):
-                self.scored += 1
-                return super().best_cost(prons)
+        def counting_cost(*args):
+            passes[-1][1] += 1
+            return grid_cost(*args)
 
-        monkeypatch.setattr(tuning, "_GridScorer", CountingScorer)
+        monkeypatch.setattr(tuning.TriggerRanks, "_rank_pass", counting_pass)
+        monkeypatch.setattr(tuning, "_grid_cost", counting_cost)
         run(config_path, tmp_path / "out", "tune",
             "--triggers", str(fixtures_dir / "triggers.tsv"), "--loocv")
         # The phrase trigger "a lesson" joins the dictionary words as a
@@ -801,8 +812,8 @@ class TestTuneCommand:
             wake = wake_by_id[wake_id]
             blocked = build_blocklist(wake, mini_dictionary)
             expected[wake.phones] = sum(1 for label in labels if label not in blocked)
-        assert len(scorers) == 3
-        assert {scorer.wake: scorer.scored for scorer in scorers} == expected
+        assert len(passes) == 3
+        assert dict(passes) == expected
 
     def test_missing_weight_warned_once_per_run(self, tmp_path, fixtures_dir, caplog):
         # Insertion weights for AH and EH only: every other inserted phone
