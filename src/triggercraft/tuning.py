@@ -14,20 +14,34 @@ its label normalized, so every reduction matches labels as they are.
 A trigger's rank at a grid point depends on its wake word, its label and
 the point, never on which triggers are being tuned on.  So a tuning run
 makes one rank pass per wake word (:class:`TriggerRanks`): every
-non-blocked candidate is scored once at all grid points, and its cost is
-folded straight into one int64 rank vector per trigger label.  Memory is
-O(labels x grid points) per wake word; candidate costs are never stacked.
-The trigger filter (the minimum of each vector), the grid search (the
-first argmin of the summed per-wake worst vectors) and every
-leave-one-wake-out fold (the same argmin over the other wake words) are
-reductions over those vectors.
+non-blocked candidate is scored once, and its cost is folded straight
+into one int64 rank vector per trigger label.  Memory is O(labels x grid
+points) per wake word; candidate costs are never stacked.  The trigger
+filter (the minimum of each vector), the grid search (the first argmin of
+the summed per-wake worst vectors) and every leave-one-wake-out fold (the
+same argmin over the other wake words) are reductions over those vectors.
 
-The rank pass reads the vocabulary's columns and runs the one kernel,
-``distance.rewrite_costs``, with the grid along its vectors: per code row,
-two preallocated rows of m+1 float vectors over the grid.  An edit costs
-the grid's s, d or i vector times the weight ``CostContext.weights`` gives
-it, one vector per wake position and per code a kept candidate uses, so
-each point performs exactly the float arithmetic of ranking at that point.
+A pass runs the one kernel, ``distance.rewrite_costs``, with grid points
+along its vectors, in three steps:
+
+* The targets.  Each trigger's own candidate is scored at every point.
+* The lattice.  Every other kept candidate is scored at the lattice
+  points, every ``STRIDE``-th value of each axis, batched by row length.
+  A lattice point is the lowest corner of its tile, the box of points up
+  to the next lattice value on each axis.  The pass keeps only whether
+  each candidate costs less, at a tile's corner, than the largest target
+  in the tile: one boolean per tile.
+* The live lanes.  A candidate is scored at the points of its live tiles
+  only, and adds ``cost < target`` there.
+
+This is exact, with no float margin.  An edit costs one IEEE product of
+a scale and a weight, both >= 0; products, sums and minima are monotone
+in their operands, so a lane's float cost never falls as s, d or i grows.
+Every point of a tile therefore costs at least its corner, and where the
+corner costs as much as the tile's largest target, the candidate is
+counted nowhere in the tile.  An edit costs the grid's s, d or i vector
+times the weight ``CostContext.weights`` gives it, so each point performs
+exactly the float arithmetic of ranking at that point.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ from .errors import (
     UnknownLabel,
     UnknownWakeWord,
 )
-from .lexicon import WakeWordSpec
+from .lexicon import PhoneCodes, WakeWordSpec
 from .readers import text_integer, tsv_rows
 
 __all__ = [
@@ -70,11 +84,16 @@ log = logging.getLogger(__name__)
 
 _TRIGGER_HEADER = ["wake_id", "trigger_label", "times_triggered"]
 
-# A rank pass holds float vectors of this length: two DP rows of m+1, one
-# per cached weight and per trigger label; the cap keeps a mistyped step
-# from exhausting memory.
+# A rank pass holds float vectors of this length: one price per edit and
+# two DP rows of m+1 for an m-phone row, and one per trigger label; the cap
+# keeps a mistyped step from exhausting memory.
 # The "extended" preset has 29,791 points.
 MAX_GRID_POINTS = 250_000
+
+# Lattice points are every STRIDE-th axis value (strides 2 and 5 were
+# slower on tune-loocv); a batched lattice call covers at most _CHUNK lanes.
+STRIDE = 4
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -171,23 +190,57 @@ class TuningResult:
 # Vectorized evaluation over a whole grid.
 
 
-def _grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The s, d and i value of each grid point, in lexicographic order."""
-    axis = np.asarray(grid.axis_values())
+def _grid_arrays(axis: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The s, d and i value of each point of the grid on ``axis``, in lexicographic order."""
+    axis = np.asarray(axis)
     n = len(axis)
     return np.repeat(axis, n * n), np.tile(np.repeat(axis, n), n), np.tile(axis, n * n)
 
 
-def _grid_cost(rows: Sequence[Sequence[int]], width: int, sub_vecs, ins_vecs,
-               del_vecs) -> np.ndarray:
-    """A candidate's minimum cost over its code ``rows`` at ``width`` grid points,
-    priced by ``sub_vecs[i][c]``, ``ins_vecs[c]`` and ``del_vecs[i]``."""
+def _grid_cost(rows: Sequence[Sequence[int]], scales, weights) -> np.ndarray:
+    """A candidate's minimum cost over its code ``rows`` at the grid points whose
+    s, d and i vectors are ``scales``, an edit priced by its scale times its
+    weight in ``weights`` (``CostContext.weights``)."""
+    s, d, i = scales
+    sub, ins, dels = weights
+    del_vecs = [d * w for w in dels]
     best = None
     for row in rows:
-        subs = ([vecs[c] for c in row] for vecs in sub_vecs)
-        cost = rewrite_costs(width, [ins_vecs[c] for c in row], subs, del_vecs)
+        # One wake position's prices at a time, never all n x m vectors at once.
+        subs = (np.multiply.outer(weight[row], s) for weight in sub)
+        cost = rewrite_costs(len(s), np.multiply.outer(ins[row], i), subs, del_vecs)
         best = cost if best is None else np.minimum(best, cost, out=best)
     return best
+
+
+def _live_tiles(codes: PhoneCodes, others: np.ndarray, lattice, weights,
+                tile_max: np.ndarray) -> np.ndarray:
+    """``(rows, tiles)``: whether each code row of the candidates ``others``, in
+    order, costs less than ``tile_max[t]`` at tile t's corner, the t-th point of
+    ``lattice``.
+
+    Rows of one length are priced together, chunk by chunk, with lanes
+    ordered (row, lattice point), each edit the product :func:`_grid_cost`
+    forms."""
+    s, d, i = lattice
+    sub, ins, dels = weights
+    wanted = np.zeros(len(codes.counts), dtype=bool)
+    wanted[others] = True
+    wanted = np.repeat(wanted, codes.counts)
+    order = np.cumsum(wanted) - 1  # a wanted row's index among the wanted rows
+    live = np.zeros((order[-1] + 1, len(tile_max)), dtype=bool)
+    per_call = max(1, _CHUNK // len(s))
+    for positions, block in codes.groups:
+        chosen = wanted[positions]
+        positions, block = order[positions[chosen]], block[:, chosen]
+        for lo in range(0, len(positions), per_call):
+            part = block[:, lo : lo + per_call]
+            m, width = len(part), part.shape[1] * len(s)
+            subs = (np.multiply.outer(weight[part], s).reshape(m, width) for weight in sub)
+            cost = rewrite_costs(width, np.multiply.outer(ins[part], i).reshape(m, width), subs,
+                                 np.multiply.outer(dels, np.tile(d, part.shape[1])))
+            live[positions[lo : lo + per_call]] = cost.reshape(-1, len(s)) < tile_max
+    return live
 
 
 def _wake_map(wakes: Sequence[WakeWordSpec]) -> dict[str, WakeWordSpec]:
@@ -242,7 +295,11 @@ class TriggerRanks:
         self.wakes = _wake_map(wakes)
         self.blocklists = blocklists or {}
         self.labels = _labels_by_wake(triggers)
-        self._arrays = _grid_arrays(grid)
+        axis = grid.axis_values()
+        self._arrays = _grid_arrays(axis)
+        self._lattice = _grid_arrays(axis[::STRIDE])
+        tile = np.arange(len(axis)) // STRIDE  # the lattice value below each axis value
+        self._tiles = np.ravel_multi_index(np.ix_(tile, tile, tile), (tile[-1] + 1,) * 3).ravel()
         self._vectors: dict[str, dict[str, np.ndarray]] = {}
 
     def of(self, wake_id: str) -> dict[str, np.ndarray]:
@@ -273,22 +330,27 @@ class TriggerRanks:
         if not target_of:
             return {}
         codes = vocab.codes
-        # One grid vector per wake position and code a kept candidate uses:
-        # the grid's scales times the context's weights, as a point prices it.
-        s, d, i = self._arrays
         used = np.unique(codes.codes[np.repeat(np.repeat(keep, codes.counts), codes.lengths)])
-        sub, ins, dels = CostContext(wake.phones, self.model).weights(codes.phones, used)
-        used = used.tolist()
-        prices = (len(s), [{c: s * row[c] for c in used} for row in sub],
-                  {c: i * ins[c] for c in used}, [d * w for w in dels])
-        costs = {idx: _grid_cost(codes.rows(idx), *prices) for idx in target_of.values()}
+        weights = CostContext(wake.phones, self.model).weights(codes.phones, used)
         labels = list(target_of)
-        targets = np.array([costs[target_of[lbl]] for lbl in labels])
+        targets = np.array([_grid_cost(codes.rows(target_of[lbl]), self._arrays, weights)
+                            for lbl in labels])
         counts = np.ones(targets.shape, dtype=np.int64)
-        for idx in kept:
-            cost = costs.get(idx)
-            if cost is None:
-                cost = _grid_cost(codes.rows(idx), *prices)
+        for cost in targets:
+            counts += cost < targets
+        # The largest target in each tile, then the tiles each other candidate can touch.
+        tile_max = np.full(len(self._lattice[0]), -np.inf)
+        np.maximum.at(tile_max, self._tiles, targets.max(0))
+        others = np.setdiff1d(kept, list(target_of.values()))
+        live = _live_tiles(codes, others, self._lattice, weights, tile_max)
+        ends = np.cumsum(codes.counts[others]).tolist()
+        for idx, start, end in zip(others.tolist(), [0, *ends], ends):
+            tiles = live[start:end].any(0)
+            if not tiles.any():
+                continue
+            lanes = np.flatnonzero(tiles[self._tiles])
+            cost = np.full(len(self._tiles), np.inf)  # a pruned lane undercuts no target
+            cost[lanes] = _grid_cost(codes.rows(idx), [v[lanes] for v in self._arrays], weights)
             counts += cost < targets
         return dict(zip(labels, counts))
 

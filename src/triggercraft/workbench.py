@@ -36,7 +36,6 @@ from typing import Sequence
 from . import candidates as cand_mod
 from . import harness as harness_mod
 from . import tuning as tuning_mod
-from . import weights as weights_mod
 from .candidates import (
     DEFAULT_VOICES,
     RankedList,

@@ -7,8 +7,10 @@ production dynamic program uses), and takes the minimum.  Because both
 sides perform identical IEEE-754 additions in identical order, the oracle
 and the production scorer must agree bit for bit, not just approximately.
 
-Everything here is deliberately slow and simple; nothing is shared with
-the package under test.
+Everything here is deliberately slow and simple.  The enumerator shares
+nothing with the package under test; :func:`reference_rank_vectors` calls
+its kernel, ``rewrite_costs``, at every grid point, without the tile
+pruning it checks.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from triggercraft.distance import (
     PhoneCodes,
     ScaleFactors,
     WeightTable,
+    rewrite_costs,
 )
 from triggercraft.errors import (
     NegativeProgress,
@@ -632,3 +635,36 @@ def best_achievable_rank(trigger, vocab, wake, grid, variant="simple", table=Non
         blocklists={wake.id: blocklist},
     )
     return int(ranks.of(wake.id)[trigger.trigger_label].min())
+
+
+def reference_grid_costs(wake, prons, grid, variant="simple", table=None) -> np.ndarray:
+    """A candidate's cost at every point of ``grid``, in lexicographic (s, d, i) order.
+
+    One :func:`rewrite_costs` call per pronunciation with every grid point a
+    lane, each edit priced by the point's scale times its weight (1 where the
+    table has none, 0 for a match); nothing is pruned."""
+    del_weights, sub_weight, ins_weight = _reference_weights(wake, CostModel(variant, table=table))
+    axis = np.array(grid.axis_values())
+    s, d, i = (values.ravel() for values in np.meshgrid(axis, axis, axis, indexing="ij"))
+    return np.minimum.reduce([
+        rewrite_costs(len(s), [i * ins_weight(q) for q in pron],
+                      ([s * sub_weight(k, q) for q in pron] for k in range(len(wake))),
+                      [d * w for w in del_weights])
+        for pron in prons
+    ])
+
+
+def reference_rank_vectors(labels, vocab, wake, grid, variant="simple", table=None,
+                           blocklist=()) -> dict[str, np.ndarray]:
+    """label -> competition rank at every grid point, every kept candidate
+    scored at every point: the reference for TriggerRanks' pruned pass.
+
+    A label's target is the first kept candidate carrying it."""
+    blocked = {normalize_label(b) for b in (wake.text, *wake.explicit_blocklist, *blocklist)}
+    costs, targets = [], {}
+    for cand in vocab:
+        label = normalize_label(cand.label)
+        if label not in blocked:
+            costs.append(reference_grid_costs(wake.phones, cand.prons, grid, variant, table))
+            targets.setdefault(label, costs[-1])
+    return {label: 1 + sum(cost < targets[label] for cost in costs) for label in labels}

@@ -6,7 +6,6 @@ terminal (bypassing capture) so a full run reads as a checklist.
 
 import contextlib
 import io
-import math
 import random
 import time
 

@@ -3,15 +3,20 @@
 import dataclasses
 import io
 import logging
-import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import best_achievable_rank, oracle_costs, rank_of
+from oracles import (
+    best_achievable_rank,
+    oracle_costs,
+    rank_of,
+    reference_grid_costs,
+    reference_rank_vectors,
+)
 from triggercraft import tuning
 from triggercraft.candidates import (
     Candidate,
@@ -663,11 +668,9 @@ def grid_pass_costs(wake, prons, variant, table, grid):
     """One candidate's cost at every grid point, from ``CostContext.weights``
     times the grid's scale vectors, as the rank pass prices it."""
     codes = PhoneCodes([prons])
-    sub, ins, dels = CostContext(wake, CostModel(variant, ScaleFactors(), table)).weights(
+    weights = CostContext(wake, CostModel(variant, ScaleFactors(), table)).weights(
         codes.phones, np.arange(len(codes.phones)))
-    s, d, i = tuning._grid_arrays(grid)
-    return tuning._grid_cost(codes.rows(0), len(s), [[s * w for w in row] for row in sub],
-                             [i * w for w in ins], [d * w for w in dels])
+    return tuning._grid_cost(codes.rows(0), tuning._grid_arrays(grid.axis_values()), weights)
 
 
 @settings(max_examples=100, deadline=None)
@@ -730,6 +733,128 @@ def test_grid_pass_costs_equal_the_oracle(wake, prons, advanced, table, lo, step
                     for pron in prons)
                 for point in grid.points()]
     assert got.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# Tile pruning: the rank pass scores a candidate only on the tiles whose
+# lattice corner it undercuts, and must count exactly what scoring it
+# everywhere counts.
+
+
+def _vocabulary(draw, lengths, count):
+    """``count`` candidates of one or two rows of ``lengths`` phones; labels repeat,
+    so a later candidate may carry a trigger's label without being its target."""
+    row = st.lists(st.sampled_from(PHONES), min_size=lengths[0], max_size=lengths[1]).map(tuple)
+    return [Candidate(label=f"w{draw(st.integers(0, count))}",
+                      prons=tuple(draw(st.lists(row, min_size=1, max_size=2))))
+            for _ in range(count)]
+
+
+# 0 and 5e-324 make zero and subnormal prices, 1e300 and 1e308 huge and
+# overflowing ones.
+_EXTREME = st.sampled_from([0.0, 5e-324, 1e300, 1e308, 0.5, 1.0, 1.5])
+
+
+@st.composite
+def weight_tables(draw):
+    """Each weight drawn from _EXTREME, or one weight for every entry; entries
+    may be missing, so the fallback weight of 1 is priced too."""
+    pairs = st.tuples(st.sampled_from(PHONES), st.sampled_from(PHONES)).filter(
+        lambda pq: pq[0] != pq[1])
+    if draw(st.booleans()):
+        value = draw(_EXTREME)
+        return WeightTable({p: value for p in PHONES}, {p: value for p in PHONES},
+                           {(p, q): value for p in PHONES for q in PHONES if p != q})
+    return WeightTable(draw(st.dictionaries(st.sampled_from(PHONES), _EXTREME)),
+                       draw(st.dictionaries(st.sampled_from(PHONES), _EXTREME)),
+                       draw(st.dictionaries(pairs, _EXTREME)))
+
+
+@st.composite
+def pruning_cases(draw):
+    # 1 or 5-13 values per axis: one tile, a full one and a ragged last one.
+    count = draw(st.sampled_from([1, *range(5, 14)]))
+    lo, step = draw(st.sampled_from([0.0, 0.05, 0.5])), draw(st.sampled_from([0.05, 0.25, 1.0]))
+    grid = Grid(lo, lo + (count - 1) * step, step)
+    vocab = _vocabulary(draw, (0, 5), draw(st.integers(2, 12)))
+    wake = WakeWordSpec(id="W", text="wake", phones=draw(_pron))
+    labels = draw(st.lists(st.sampled_from(sorted({c.label for c in vocab})), min_size=1,
+                           max_size=3, unique=True))
+    variant = draw(st.sampled_from(["simple", "advanced"]))
+    table = draw(weight_tables()) if variant == "advanced" else None
+    return grid, vocab, wake, labels, variant, table
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(pruning_cases())
+@example((Grid(0.0, 0.6, 0.05), [cand("w0", ("B",)), cand("w1", ("B", "AA")),
+                                 cand("w2", ("K", "K", "S")), cand("w3", ("S",), ("AA",))],
+          WakeWordSpec(id="W", text="wake", phones=("B", "AA")), ["w3", "w1"], "simple", None))
+def test_pruned_ranks_equal_the_full_width_reference(case):
+    grid, vocab, wake, labels, variant, table = case
+    assert grid.point_count() == len(grid.axis_values()) ** 3
+    triggers = [LabeledTrigger(wake.id, label) for label in labels]
+    got = TriggerRanks(triggers, vocab, [wake], grid, variant, table).of(wake.id)
+    expected = reference_rank_vectors(labels, vocab, wake, grid, variant, table)
+    assert {label: v.tolist() for label, v in got.items()} == \
+        {label: v.tolist() for label, v in expected.items()}
+
+
+@st.composite
+def relation_cases(draw):
+    vocab = _vocabulary(draw, (1, 4), draw(st.integers(3, 14)))
+    wakes = [WakeWordSpec(id=f"W{n}", text=f"wake {n}", phones=draw(_pron)) for n in range(2)]
+    labels = sorted({c.label for c in vocab})
+    triggers = [LabeledTrigger(wake.id, label) for wake in wakes
+                for label in draw(st.lists(st.sampled_from(labels), min_size=1, max_size=2,
+                                           unique=True))]
+    variant = draw(st.sampled_from(["simple", "advanced"]))
+    table = None
+    if variant == "advanced":
+        table = WeightTable(draw(st.dictionaries(st.sampled_from(PHONES), _weight)),
+                            draw(st.dictionaries(st.sampled_from(PHONES), _weight)),
+                            draw(st.dictionaries(st.tuples(st.sampled_from(PHONES),
+                                                           st.sampled_from(PHONES)), _weight)))
+    return vocab, wakes, triggers, variant, table
+
+
+@settings(max_examples=30, deadline=None)
+@given(relation_cases())
+def test_a_sub_grid_ranks_as_the_full_grid_at_shared_points(case):
+    # 10 values per axis tile as 4 + 4 + 2, the default's 21 as 5 x 4 + 1.
+    vocab, wakes, triggers, variant, table = case
+    coarse, fine = Grid(0.1, 1.0, 0.1), Grid.default()
+    shared = [fine.axis_values().index(v) for v in coarse.axis_values()]
+    assert (coarse.point_count(), fine.point_count(), len(shared)) == (1_000, 9_261, 10)
+    small = TriggerRanks(triggers, vocab, wakes, coarse, variant, table)
+    large = TriggerRanks(triggers, vocab, wakes, fine, variant, table)
+    for wake in wakes:
+        for label, vector in large.of(wake.id).items():
+            at_shared = vector.reshape((21,) * 3)[np.ix_(shared, shared, shared)]
+            assert at_shared.ravel().tolist() == small.of(wake.id)[label].tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(relation_cases(), st.lists(st.lists(st.sampled_from(PHONES), min_size=3, max_size=8)
+                                  .map(tuple), min_size=1, max_size=30))
+def test_padding_that_costs_more_than_every_target_changes_no_rank(case, long_rows):
+    vocab, wakes, triggers, variant, table = case
+    grid = Grid(0.5, 1.0, 0.05)
+    ranks = TriggerRanks(triggers, vocab, wakes, grid, variant, table)
+    # Rows cost more than every target at every point of every wake word.
+    targets = {wake.id: [reference_grid_costs(wake.phones, c.prons, grid, variant, table)
+                         for label in ranks.of(wake.id)
+                         for c in [next(c for c in vocab if c.label == label)]]
+               for wake in wakes}
+    padding = [cand(f"pad{n}", row) for n, row in enumerate(long_rows)
+               if all((reference_grid_costs(wake.phones, [row], grid, variant, table)
+                       > np.max(targets[wake.id], axis=0)).all() for wake in wakes)]
+    assume(padding)
+    padded = TriggerRanks(triggers, vocab[:1] + padding + vocab[1:], wakes, grid, variant, table)
+    for wake in wakes:
+        assert {label: v.tolist() for label, v in padded.of(wake.id).items()} == \
+            {label: v.tolist() for label, v in ranks.of(wake.id).items()}
 
 
 class TestFormatTuningReport:

@@ -789,19 +789,29 @@ class TestTuneCommand:
 
     def test_one_rank_pass_per_wake(self, config_path, tmp_path, fixtures_dir, monkeypatch,
                                     mini_dictionary, wake_by_id):
-        passes = []  # [wake phones, candidates scored] per rank pass
-        rank_pass, grid_cost = tuning.TriggerRanks._rank_pass, tuning._grid_cost
+        # [wake phones, candidates priced, lattice priced yet] per rank pass: the
+        # targets are priced by _grid_cost before the lattice, which prices every
+        # other kept candidate; live lanes priced after it are not counted again.
+        passes = []
+        rank_pass, grid_cost, live_tiles = (tuning.TriggerRanks._rank_pass, tuning._grid_cost,
+                                            tuning._live_tiles)
 
         def counting_pass(self, wake):
-            passes.append([wake.phones, 0])
+            passes.append([wake.phones, 0, False])
             return rank_pass(self, wake)
 
         def counting_cost(*args):
-            passes[-1][1] += 1
+            passes[-1][1] += not passes[-1][2]
             return grid_cost(*args)
+
+        def counting_lattice(codes, others, *args):
+            passes[-1][1] += len(others)
+            passes[-1][2] = True
+            return live_tiles(codes, others, *args)
 
         monkeypatch.setattr(tuning.TriggerRanks, "_rank_pass", counting_pass)
         monkeypatch.setattr(tuning, "_grid_cost", counting_cost)
+        monkeypatch.setattr(tuning, "_live_tiles", counting_lattice)
         run(config_path, tmp_path / "out", "tune",
             "--triggers", str(fixtures_dir / "triggers.tsv"), "--loocv")
         # The phrase trigger "a lesson" joins the dictionary words as a
@@ -813,7 +823,7 @@ class TestTuneCommand:
             blocked = build_blocklist(wake, mini_dictionary)
             expected[wake.phones] = sum(1 for label in labels if label not in blocked)
         assert len(passes) == 3
-        assert dict(passes) == expected
+        assert {phones: priced for phones, priced, _ in passes} == expected
 
     def test_missing_weight_warned_once_per_run(self, tmp_path, fixtures_dir, caplog):
         # Insertion weights for AH and EH only: every other inserted phone
