@@ -15,17 +15,17 @@ Three model variants share one implementation:
 
 One rule prices every edit: its cost is the operation's scale factor times
 the phone weight a :class:`CostContext` caches for it (1 outside the
-advanced model, 0 for a match), one IEEE product.  The kernel, :func:`align`
-and the tuning grid pass all read their weights from a context, so they
-agree on every cost bit for bit.
+advanced model, 0 for a match), one IEEE product, so every path below
+agrees on every cost bit for bit.
 
-One kernel, :func:`rewrite_costs`, runs the dynamic program cell by cell,
-each cell one float64 vector whose lanes are independent problems.
-:meth:`CostContext.score` lays candidates along it: the kept columns of
-each length-m block of a :class:`PhoneCodes` encoding, which is built once
-per vocabulary and shared by every wake word and model ranked against it,
-priced for the phones of kept candidates only.  The tuning grid pass lays
-grid points along it instead, one code row of its flat columns at a time.
+One kernel, :func:`rewrite_costs`, runs the dynamic program cell by cell
+on float64 arrays whose lanes, of any shape, are independent problems, so
+the Python loop is paid once per batch.  One driver, :func:`batch_costs`,
+feeds it the rows :meth:`PhoneCodes.kept_groups` keeps, a length and chunk
+at a time, priced from (code x lane) tables formed once: ranking
+(:meth:`CostContext.score`) with the model's scales as one lane, tuning
+with a lattice of grid points.  ``tuning._grid_cost`` prices one candidate
+at the few points it can still change, where gathering weights first is cheaper.
 
 The kernel is bit-identical to the scalar recurrence that :func:`align`
 runs on Python floats.  Each cell performs the same IEEE-754 additions on
@@ -65,6 +65,7 @@ __all__ = [
     "ScaleFactors",
     "WeightTable",
     "align",
+    "batch_costs",
     "distance_to_wakeword",
     "rewrite_costs",
 ]
@@ -270,10 +271,15 @@ class CostContext:
             weight = self._ins_weights[q] = self._weight("insertion", q)
         return weight
 
-    def weights(self, phones: Sequence[str], used) -> tuple[np.ndarray, np.ndarray, tuple]:
+    def weights(self, phones: Sequence[str], groups) -> tuple[np.ndarray, np.ndarray, tuple]:
         """``sub[i, c]`` (0 on a match) and ``ins[c]`` weigh pairing wake phone i
-        with ``phones[c]`` and inserting it, looked up for the ``used`` codes
-        only (0 for the others); ``dels[i]`` weighs deleting wake phone i."""
+        with ``phones[c]`` and inserting it, looked up for the codes the blocks
+        of ``groups`` (:meth:`PhoneCodes.kept_groups`) use only (0 for the
+        others); ``dels[i]`` weighs deleting wake phone i."""
+        occurs = np.zeros(len(phones), dtype=bool)
+        for _, block in groups:
+            occurs[block] = True
+        used = np.flatnonzero(occurs)
         sub = np.zeros((self.n, len(phones)))
         ins = np.zeros(len(phones))
         looked_up = [phones[c] for c in used]
@@ -293,42 +299,46 @@ class CostContext:
         weight lookups, and so the fallback warnings, are those of the
         phones that occur in kept candidates only.
         """
-        pron_keep = None if keep is None else np.repeat(keep, codes.counts)
-        blocks = []
-        occurs = np.zeros(len(codes.phones), dtype=np.intp)
-        for positions, block in codes.groups:
-            if pron_keep is not None:
-                cols = pron_keep[positions]
-                positions, block = positions[cols], block[:, cols]
-            blocks.append((positions, block))
-            occurs += np.bincount(block.ravel(), minlength=len(occurs))
-        sub, ins, dels = self.weights(codes.phones, np.flatnonzero(occurs))
-        scales = self.model.scales
-        sub *= scales.s
-        ins *= scales.i
-        del_costs = [scales.d * w for w in dels]
-
+        groups = codes.kept_groups(keep)
+        lane = [[scale] for scale in vars(self.model.scales).values()]
         pron_costs = np.full(len(codes.lengths), np.inf)
-        for positions, block in blocks:
-            subs = (row[block] for row in sub)
-            pron_costs[positions] = rewrite_costs(len(positions), ins[block], subs, del_costs)
+        for positions, cost in batch_costs(groups, lane, self.weights(codes.phones, groups)):
+            pron_costs[positions] = cost[:, 0]
         return np.minimum.reduceat(pron_costs, codes.first[:-1])
 
 
-def rewrite_costs(width: int, ins, subs, dels) -> np.ndarray:
-    """Rewrite costs of ``width`` lanes at once, one ``(width,)`` vector per DP cell.
+_CHUNK = 1 << 14  # the most lanes, rows x scale lanes, of one batched kernel call
 
-    ``ins[j]``, ``subs[i][j]`` (0 on a match) and ``dels[i]`` (a scalar or a
-    vector) price inserting candidate phone j, pairing wake phone i with it
-    and deleting wake phone i.  Every cell runs into two preallocated
-    ``(m+1, width)`` rows and one scratch vector.
+
+def batch_costs(groups, scales, weights):
+    """Yield, chunk by chunk, row positions of ``groups`` (:meth:`PhoneCodes.kept_groups`)
+    and their ``(rows, lanes)`` rewrite costs, an edit costing its lane's s, d or i
+    times its :meth:`CostContext.weights` weight, from (code x lane) tables formed once."""
+    s, d, i = scales
+    sub, ins, dels = weights
+    sub_prices = np.multiply.outer(sub, s)
+    ins_prices = np.multiply.outer(ins, i)
+    del_prices = np.multiply.outer(dels, d)
+    per_call = max(1, _CHUNK // len(s))
+    for positions, block in groups:
+        for lo in range(0, len(positions), per_call):
+            part = block[:, lo : lo + per_call]
+            costs = rewrite_costs(ins_prices[part], (p[part] for p in sub_prices), del_prices)
+            yield positions[lo : lo + per_call], costs
+
+
+def rewrite_costs(ins, subs, dels) -> np.ndarray:
+    """Rewrite costs of lanes shaped ``ins.shape[1:]``, one such array per DP cell:
+    ``ins[j]``, ``subs[i][j]`` (0 on a match) and ``dels[i]`` (broadcast over the
+    lanes) price inserting candidate phone j, pairing wake phone i with it and
+    deleting wake phone i.  Each cell runs into two preallocated rows and one scratch.
     """
     m = len(ins)
-    prev = np.zeros((m + 1, width))
+    prev = np.zeros((m + 1, *ins.shape[1:]))
     for j in range(m):
         np.add(prev[j], ins[j], out=prev[j + 1])
     cur = np.empty_like(prev)
-    alt = np.empty(width)
+    alt = np.empty_like(prev[0])
     for sub_row, del_cost in zip(subs, dels):
         np.add(prev[0], del_cost, out=cur[0])
         for j in range(m):

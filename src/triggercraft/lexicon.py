@@ -189,7 +189,8 @@ class PhoneCodes:
     ``first[k]:first[k + 1]`` are candidate k's, and codes
     ``starts[r]:starts[r + 1]`` row r's.  ``groups``, built on first use and
     kept, holds one ``(positions, block)`` pair per row length m: their row
-    indices and ``(m, batch)`` codes, row j holding every such row's j-th phone.
+    indices and ``(m, batch)`` codes, row j holding every such row's j-th phone;
+    :meth:`kept_groups` restricts them to the rows of chosen candidates.
     """
 
     __slots__ = ("phones", "lengths", "codes", "first", "starts", "_groups")
@@ -228,6 +229,14 @@ class PhoneCodes:
             self._groups = [(rows, self.codes[self.starts[rows] + np.arange(m)[:, None]])
                             for m, rows in enumerate(runs) if len(rows)]
         return self._groups
+
+    def kept_groups(self, keep: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``groups`` cut to the rows of the candidates the mask ``keep`` selects (default: all)."""
+        if keep is None:
+            return self.groups
+        chosen = np.repeat(keep, self.counts)
+        return [(positions[cols], block[:, cols]) for positions, block in self.groups
+                for cols in [chosen[positions]] if cols.any()]
 
     def rows(self, index: int) -> list[list[int]]:
         """Candidate ``index``'s pronunciations, each a list of codes."""

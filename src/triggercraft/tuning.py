@@ -22,26 +22,25 @@ the summed per-wake worst vectors) and every leave-one-wake-out fold (the
 same argmin over the other wake words) are reductions over those vectors.
 
 A pass runs the one kernel, ``distance.rewrite_costs``, with grid points
-along its vectors, in three steps:
+along its lanes, in three steps:
 
-* The targets.  Each trigger's own candidate is scored at every point.
-* The lattice.  Every other kept candidate is scored at the lattice
-  points, every ``STRIDE``-th value of each axis, batched by row length.
-  A lattice point is the lowest corner of its tile, the box of points up
-  to the next lattice value on each axis.  The pass keeps only whether
-  each candidate costs less, at a tile's corner, than the largest target
-  in the tile: one boolean per tile.
-* The live lanes.  A candidate is scored at the points of its live tiles
-  only, and adds ``cost < target`` there.
+* The targets.  :func:`_grid_cost` scores each trigger's own candidate at
+  every point.
+* The lattice.  ``distance.batch_costs``, the driver ranking runs too,
+  scores every kept row at the lattice points, every ``STRIDE``-th value
+  of each axis.  A lattice point is the lowest corner of its tile, the box
+  of points up to the next lattice value on each axis; the pass keeps
+  whether each row costs less there than the tile's largest target.
+* The live lanes.  :func:`_grid_cost` scores each other candidate at the
+  points of its live tiles only, which add ``cost < target``.
 
 This is exact, with no float margin.  An edit costs one IEEE product of
 a scale and a weight, both >= 0; products, sums and minima are monotone
 in their operands, so a lane's float cost never falls as s, d or i grows.
 Every point of a tile therefore costs at least its corner, and where the
 corner costs as much as the tile's largest target, the candidate is
-counted nowhere in the tile.  An edit costs the grid's s, d or i vector
-times the weight ``CostContext.weights`` gives it, so each point performs
-exactly the float arithmetic of ranking at that point.
+counted nowhere in the tile.  Both paths price an edit as ranking does,
+the point's s, d or i times the weight ``CostContext.weights`` gives it.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ import numpy as np
 
 from .candidates import Candidate, Vocabulary, normalize_label, rank_candidates
 from .distance import (UNIT_SCALES, CostContext, CostModel, ScaleFactors, WeightTable,
-                       rewrite_costs)
+                       batch_costs, rewrite_costs)
 from .errors import (
     NoTriggers,
     ParseError,
@@ -64,7 +63,7 @@ from .errors import (
     UnknownLabel,
     UnknownWakeWord,
 )
-from .lexicon import PhoneCodes, WakeWordSpec
+from .lexicon import WakeWordSpec
 from .readers import text_integer, tsv_rows
 
 __all__ = [
@@ -90,10 +89,7 @@ _TRIGGER_HEADER = ["wake_id", "trigger_label", "times_triggered"]
 # The "extended" preset has 29,791 points.
 MAX_GRID_POINTS = 250_000
 
-# Lattice points are every STRIDE-th axis value (strides 2 and 5 were
-# slower on tune-loocv); a batched lattice call covers at most _CHUNK lanes.
-STRIDE = 4
-_CHUNK = 1 << 14
+STRIDE = 4  # lattice points are every STRIDE-th axis value; 2 and 5 ran slower
 
 
 @dataclass(frozen=True)
@@ -190,57 +186,26 @@ class TuningResult:
 # Vectorized evaluation over a whole grid.
 
 
-def _grid_arrays(axis: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_arrays(axis: Sequence[float]) -> list[np.ndarray]:
     """The s, d and i value of each point of the grid on ``axis``, in lexicographic order."""
-    axis = np.asarray(axis)
-    n = len(axis)
-    return np.repeat(axis, n * n), np.tile(np.repeat(axis, n), n), np.tile(axis, n * n)
+    return [values.ravel() for values in np.meshgrid(axis, axis, axis, indexing="ij")]
 
 
 def _grid_cost(rows: Sequence[Sequence[int]], scales, weights) -> np.ndarray:
     """A candidate's minimum cost over its code ``rows`` at the grid points whose
     s, d and i vectors are ``scales``, an edit priced by its scale times its
     weight in ``weights`` (``CostContext.weights``)."""
+    # Gathers each row's weights, then prices them: at one candidate's lanes,
+    # pricing every used code as ``batch_costs`` does would take about 6x the
+    # multiplies (39 codes against 5.5 phones a candidate on tune-loocv).
     s, d, i = scales
     sub, ins, dels = weights
     del_vecs = [d * w for w in dels]
-    best = None
-    for row in rows:
-        # One wake position's prices at a time, never all n x m vectors at once.
-        subs = (np.multiply.outer(weight[row], s) for weight in sub)
-        cost = rewrite_costs(len(s), np.multiply.outer(ins[row], i), subs, del_vecs)
-        best = cost if best is None else np.minimum(best, cost, out=best)
-    return best
-
-
-def _live_tiles(codes: PhoneCodes, others: np.ndarray, lattice, weights,
-                tile_max: np.ndarray) -> np.ndarray:
-    """``(rows, tiles)``: whether each code row of the candidates ``others``, in
-    order, costs less than ``tile_max[t]`` at tile t's corner, the t-th point of
-    ``lattice``.
-
-    Rows of one length are priced together, chunk by chunk, with lanes
-    ordered (row, lattice point), each edit the product :func:`_grid_cost`
-    forms."""
-    s, d, i = lattice
-    sub, ins, dels = weights
-    wanted = np.zeros(len(codes.counts), dtype=bool)
-    wanted[others] = True
-    wanted = np.repeat(wanted, codes.counts)
-    order = np.cumsum(wanted) - 1  # a wanted row's index among the wanted rows
-    live = np.zeros((order[-1] + 1, len(tile_max)), dtype=bool)
-    per_call = max(1, _CHUNK // len(s))
-    for positions, block in codes.groups:
-        chosen = wanted[positions]
-        positions, block = order[positions[chosen]], block[:, chosen]
-        for lo in range(0, len(positions), per_call):
-            part = block[:, lo : lo + per_call]
-            m, width = len(part), part.shape[1] * len(s)
-            subs = (np.multiply.outer(weight[part], s).reshape(m, width) for weight in sub)
-            cost = rewrite_costs(width, np.multiply.outer(ins[part], i).reshape(m, width), subs,
-                                 np.multiply.outer(dels, np.tile(d, part.shape[1])))
-            live[positions[lo : lo + per_call]] = cost.reshape(-1, len(s)) < tile_max
-    return live
+    # One wake position's prices at a time, never all n x m vectors at once.
+    return np.minimum.reduce([
+        rewrite_costs(np.multiply.outer(ins[row], i),
+                      (np.multiply.outer(weight[row], s) for weight in sub), del_vecs)
+        for row in rows])
 
 
 def _wake_map(wakes: Sequence[WakeWordSpec]) -> dict[str, WakeWordSpec]:
@@ -330,22 +295,23 @@ class TriggerRanks:
         if not target_of:
             return {}
         codes = vocab.codes
-        used = np.unique(codes.codes[np.repeat(np.repeat(keep, codes.counts), codes.lengths)])
-        weights = CostContext(wake.phones, self.model).weights(codes.phones, used)
+        groups = codes.kept_groups(keep)
+        weights = CostContext(wake.phones, self.model).weights(codes.phones, groups)
         labels = list(target_of)
         targets = np.array([_grid_cost(codes.rows(target_of[lbl]), self._arrays, weights)
                             for lbl in labels])
         counts = np.ones(targets.shape, dtype=np.int64)
         for cost in targets:
             counts += cost < targets
-        # The largest target in each tile, then the tiles each other candidate can touch.
+        # The largest target in each tile, then whether each kept row costs less at its corner.
         tile_max = np.full(len(self._lattice[0]), -np.inf)
         np.maximum.at(tile_max, self._tiles, targets.max(0))
-        others = np.setdiff1d(kept, list(target_of.values()))
-        live = _live_tiles(codes, others, self._lattice, weights, tile_max)
-        ends = np.cumsum(codes.counts[others]).tolist()
-        for idx, start, end in zip(others.tolist(), [0, *ends], ends):
-            tiles = live[start:end].any(0)
+        live = np.zeros((len(codes.lengths), len(tile_max)), dtype=bool)
+        for positions, cost in batch_costs(groups, self._lattice, weights):
+            live[positions] = cost < tile_max
+        first = codes.first.tolist()
+        for idx in np.setdiff1d(kept, list(target_of.values())).tolist():
+            tiles = live[first[idx] : first[idx + 1]].any(0)
             if not tiles.any():
                 continue
             lanes = np.flatnonzero(tiles[self._tiles])

@@ -26,6 +26,7 @@ import argparse
 import io
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -357,6 +358,17 @@ def format_manifest(rows: Sequence[tuple[str, ...]]) -> str:
 # Subcommands.
 
 
+def _check_prices(wakes, vocabs, scale: float, table: WeightTable | None) -> None:
+    """Refuse prices that overflow: a path of n + m edits, for the longest wake
+    word and candidate row, each at ``scale`` times the largest weight (or 1)."""
+    edits = max(len(w.phones) for w in wakes) + max(v.codes.lengths.max(initial=0).item()
+                                                    for v in vocabs)
+    sections = (table.deletion, table.insertion, table.substitution) if table else ()
+    weight = max([1.0, *(w for section in sections for w in section.values())])
+    if not math.isfinite(edits * (scale * weight)):
+        raise ConfigError(f"{edits} edits at scale {scale:g} x weight {weight:g} overflow")
+
+
 def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     wake = config.wake_word(args.wake)
     dictionary = config.dictionary()
@@ -371,6 +383,7 @@ def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
         vocab_by_name = {
             f"{n}-gram": extract_ngrams(lines, n, dictionary) for n in args.ngram_sizes
         }
+    _check_prices([wake], vocab_by_name.values(), max(vars(model.scales).values()), model.table)
     for name, vocab in vocab_by_name.items():
         ranked = rank_candidates(
             vocab, wake, model, config.top_k, config.seed, blocklist=blocked
@@ -394,6 +407,7 @@ def cmd_tune(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
     wakes = config.wake_words()
     blocklists = {w.id: build_blocklist(w, dictionary) for w in wakes}
     table = config.weight_table() if args.variant == "advanced" else None
+    _check_prices(wakes, [vocab], max(config.grid.axis_values()), table)
     # One rank pass per wake word, shared by the filter, the search and
     # every cross-validation fold.
     ranks = TriggerRanks(triggers, vocab, wakes, config.grid, args.variant, table, blocklists)

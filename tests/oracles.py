@@ -8,8 +8,10 @@ sides perform identical IEEE-754 additions in identical order, the oracle
 and the production scorer must agree bit for bit, not just approximately.
 
 Everything here is deliberately slow and simple.  The enumerator shares
-nothing with the package under test; :func:`reference_rank_vectors` calls
-its kernel, ``rewrite_costs``, at every grid point, without the tile
+nothing with the package under test.  :func:`reference_rank_vectors`
+prices every edit itself (:func:`_reference_weights`) and calls only the
+package's kernel, ``rewrite_costs``, with every grid point a lane: not the
+batched driver ``batch_costs``, nor ``tuning._grid_cost`` or the tile
 pruning it checks.
 """
 
@@ -647,7 +649,7 @@ def reference_grid_costs(wake, prons, grid, variant="simple", table=None) -> np.
     axis = np.array(grid.axis_values())
     s, d, i = (values.ravel() for values in np.meshgrid(axis, axis, axis, indexing="ij"))
     return np.minimum.reduce([
-        rewrite_costs(len(s), [i * ins_weight(q) for q in pron],
+        rewrite_costs(np.reshape([i * ins_weight(q) for q in pron], (len(pron), len(s))),
                       ([s * sub_weight(k, q) for q in pron] for k in range(len(wake))),
                       [d * w for w in del_weights])
         for pron in prons

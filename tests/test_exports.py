@@ -2,6 +2,7 @@
 names only what the module has, and every name the benchmark's tracer
 wraps exists."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -46,3 +47,28 @@ def test_every_name_the_tracer_wraps_resolves():
     targets = tracing._targets(triggercraft)
     assert targets
     assert [(owner, attr) for owner, attr, *_ in targets if not hasattr(owner, attr)] == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads, outside ``__future__`` imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.value.id for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # The package __init__ imports names only to re-export them.
+    tests = Path(__file__).resolve().parent
+    paths = [p for p in sorted((SRC / "triggercraft").glob("*.py")) if p.name != "__init__.py"]
+    assert [name for path in paths + sorted(tests.glob("*.py"))
+            for name in _unread_imports(path)] == []

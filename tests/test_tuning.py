@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import logging
+import random
 from unittest import mock
 
 import numpy as np
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 from oracles import (
     best_achievable_rank,
     oracle_costs,
+    random_models,
+    random_phones,
     rank_of,
     reference_grid_costs,
     reference_rank_vectors,
 )
-from triggercraft import tuning
+from triggercraft import distance, tuning
 from triggercraft.candidates import (
     Candidate,
     build_blocklist,
@@ -669,7 +672,7 @@ def grid_pass_costs(wake, prons, variant, table, grid):
     times the grid's scale vectors, as the rank pass prices it."""
     codes = PhoneCodes([prons])
     weights = CostContext(wake, CostModel(variant, ScaleFactors(), table)).weights(
-        codes.phones, np.arange(len(codes.phones)))
+        codes.phones, codes.groups)
     return tuning._grid_cost(codes.rows(0), tuning._grid_arrays(grid.axis_values()), weights)
 
 
@@ -855,6 +858,40 @@ def test_padding_that_costs_more_than_every_target_changes_no_rank(case, long_ro
     for wake in wakes:
         assert {label: v.tolist() for label, v in padded.of(wake.id).items()} == \
             {label: v.tolist() for label, v in ranks.of(wake.id).items()}
+
+
+def test_chunk_boundaries_change_no_cost(monkeypatch):
+    # 60 candidates of 1-3 rows of 0-7 phones: every length group splits
+    # into chunks of 1, 2 or 7 rows (lanes, on a 1-point lattice).
+    rng = random.Random(11)
+    vocab = [cand(f"w{n}", *(random_phones(rng, 0, 7) for _ in range(rng.randint(1, 3))))
+             for n in range(60)]
+    codes = PhoneCodes([c.prons for c in vocab])
+    keep = np.array([rng.random() < 0.8 for _ in vocab])
+    wake = WakeWordSpec(id="W", text="wake", phones=random_phones(rng, 2, 4))
+    models = random_models(rng)
+    variants = [("simple", None), ("advanced", models[2].table)]
+    labels = ["w3", "w41"]
+    triggers = [LabeledTrigger("W", label) for label in labels]
+    grids = [Grid(0.0, 0.75, 0.25), Grid(0.0, 1.0, 0.25)]  # lattices of 1 and 8 points
+
+    def results():
+        scores = [CostContext(wake.phones, model).score(codes, keep).tolist() for model in models]
+        ranks = [{label: v.tolist() for label, v in
+                  TriggerRanks(triggers, vocab, [wake], grid, *variant).of("W").items()}
+                 for grid in grids for variant in variants]
+        return scores, ranks
+
+    unpatched = results()
+    assert [(len(block), len(rows) > 7) for rows, block in codes.kept_groups(keep)] == \
+        [(m, True) for m in range(8)]
+    assert unpatched[1] == [
+        {label: v.tolist() for label, v in
+         reference_rank_vectors(labels, vocab, wake, grid, *variant).items()}
+        for grid in grids for variant in variants]
+    for chunk in (1, 2, 7):
+        monkeypatch.setattr(distance, "_CHUNK", chunk)
+        assert results() == unpatched
 
 
 class TestFormatTuningReport:

@@ -6,6 +6,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -387,6 +388,25 @@ class TestExitCodes:
              "rank", "--wake", "VA1", "--ngram-sizes", "4"]
         )
         assert code == 1
+
+    # A path of n + m edits, each priced at most the largest scale times the
+    # largest weight, must cost a finite sum; 1e306 x 15 edits still does.
+    @pytest.mark.parametrize("override, argv, code", [
+        ({"grid": {"lo": 0, "hi": 1.6e308, "step": 4e307}},
+         ["tune", "--triggers", "triggers.tsv", "--variant", "advanced"], 1),
+        ({"scales": {"s": 1e308, "d": 1e308, "i": 1e308}}, ["rank", "--wake", "VA1"], 1),
+        ({"scales": {"s": 1e306, "d": 1e306, "i": 1e306}}, ["rank", "--wake", "VA1"], 0),
+    ], ids=["tune-grid", "rank-scales", "rank-scales-that-fit"])
+    def test_prices_that_overflow_are_refused(self, fixtures_dir, tmp_path, caplog,
+                                              override, argv, code):
+        copy = tmp_path / "fixtures"
+        shutil.copytree(fixtures_dir, copy)
+        config = json.loads((copy / "config.json").read_text(encoding="utf-8"))
+        (copy / "config.json").write_text(json.dumps({**config, **override}), encoding="utf-8")
+        argv = [str(copy / arg) if arg.endswith(".tsv") else arg for arg in argv]
+        assert main(["--config", str(copy / "config.json"), *argv]) == code
+        assert ("overflow" in caplog.text) == bool(code)
+        assert (copy / "out").exists() == (not code)
 
     # Integer options are ASCII digits, as int() alone would not insist.
     @pytest.mark.parametrize("argv", [
@@ -789,29 +809,22 @@ class TestTuneCommand:
 
     def test_one_rank_pass_per_wake(self, config_path, tmp_path, fixtures_dir, monkeypatch,
                                     mini_dictionary, wake_by_id):
-        # [wake phones, candidates priced, lattice priced yet] per rank pass: the
-        # targets are priced by _grid_cost before the lattice, which prices every
-        # other kept candidate; live lanes priced after it are not counted again.
+        # [wake phones, the vocabulary's codes, rows priced] per rank pass: the
+        # lattice prices every row of every kept candidate through the shared driver.
         passes = []
-        rank_pass, grid_cost, live_tiles = (tuning.TriggerRanks._rank_pass, tuning._grid_cost,
-                                            tuning._live_tiles)
+        rank_pass, batch_costs = tuning.TriggerRanks._rank_pass, tuning.batch_costs
 
         def counting_pass(self, wake):
-            passes.append([wake.phones, 0, False])
+            passes.append([wake.phones, self.vocab.codes, []])
             return rank_pass(self, wake)
 
-        def counting_cost(*args):
-            passes[-1][1] += not passes[-1][2]
-            return grid_cost(*args)
-
-        def counting_lattice(codes, others, *args):
-            passes[-1][1] += len(others)
-            passes[-1][2] = True
-            return live_tiles(codes, others, *args)
+        def counting_batches(groups, *args):
+            for positions, cost in batch_costs(groups, *args):
+                passes[-1][2].extend(positions.tolist())
+                yield positions, cost
 
         monkeypatch.setattr(tuning.TriggerRanks, "_rank_pass", counting_pass)
-        monkeypatch.setattr(tuning, "_grid_cost", counting_cost)
-        monkeypatch.setattr(tuning, "_live_tiles", counting_lattice)
+        monkeypatch.setattr(tuning, "batch_costs", counting_batches)
         run(config_path, tmp_path / "out", "tune",
             "--triggers", str(fixtures_dir / "triggers.tsv"), "--loocv")
         # The phrase trigger "a lesson" joins the dictionary words as a
@@ -823,7 +836,14 @@ class TestTuneCommand:
             blocked = build_blocklist(wake, mini_dictionary)
             expected[wake.phones] = sum(1 for label in labels if label not in blocked)
         assert len(passes) == 3
-        assert {phones: priced for phones, priced, _ in passes} == expected
+        priced = {}
+        for phones, codes, rows in passes:
+            # Every row of each priced candidate, each row once.
+            candidates = sorted(set(np.searchsorted(codes.first, rows, side="right") - 1))
+            assert sorted(rows) == [row for c in candidates
+                                    for row in range(codes.first[c], codes.first[c + 1])]
+            priced[phones] = len(candidates)
+        assert priced == expected
 
     def test_missing_weight_warned_once_per_run(self, tmp_path, fixtures_dir, caplog):
         # Insertion weights for AH and EH only: every other inserted phone
