@@ -235,8 +235,12 @@ class PhoneCodes:
         if keep is None:
             return self.groups
         chosen = np.repeat(keep, self.counts)
-        return [(positions[cols], block[:, cols]) for positions, block in self.groups
-                for cols in [chosen[positions]] if cols.any()]
+        kept = []
+        for positions, block in self.groups:
+            cols = chosen[positions]
+            if cols.any():
+                kept.append((positions[cols], block[:, cols]))
+        return kept
 
     def rows(self, index: int) -> list[list[int]]:
         """Candidate ``index``'s pronunciations, each a list of codes."""

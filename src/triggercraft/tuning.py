@@ -201,11 +201,13 @@ def _grid_cost(rows: Sequence[Sequence[int]], scales, weights) -> np.ndarray:
     s, d, i = scales
     sub, ins, dels = weights
     del_vecs = [d * w for w in dels]
-    # One wake position's prices at a time, never all n x m vectors at once.
-    return np.minimum.reduce([
-        rewrite_costs(np.multiply.outer(ins[row], i),
-                      (np.multiply.outer(weight[row], s) for weight in sub), del_vecs)
-        for row in rows])
+    best = None
+    for row in rows:
+        # One wake position's prices at a time, never all n x m vectors at once.
+        subs = (np.multiply.outer(weight[row], s) for weight in sub)
+        cost = rewrite_costs(np.multiply.outer(ins[row], i), subs, del_vecs)
+        best = cost if best is None else np.minimum(best, cost, out=best)
+    return best
 
 
 def _wake_map(wakes: Sequence[WakeWordSpec]) -> dict[str, WakeWordSpec]:
