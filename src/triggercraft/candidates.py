@@ -235,7 +235,10 @@ def rank_candidates(
     draw selected from, and is 0 whenever no randomness was involved (list
     not truncated, or the boundary ties exactly fill the open slots).
     Output is byte-stable for a given seed, and lists produced with
-    different seeds can differ only inside the tie pool.
+    different seeds can differ only inside the tie pool.  One kernel pass
+    prices every pronunciation; a listed candidate's breakdown is that of
+    :func:`distance_to_wakeword` over its variant with the first smallest
+    ``L`` in that pass, which is the variant it picks from all of them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -246,7 +249,9 @@ def rank_candidates(
         raise EmptyVocabulary(f"no candidates left for {wake.id!r} after blocklist filtering")
 
     # Indices below run over the kept candidates, in vocabulary order.
-    costs = CostContext(wake.phones, model).score(vocab.codes, keep)[kept]
+    row_costs = CostContext(wake.phones, model).row_costs(vocab.codes, keep)
+    first = vocab.codes.first
+    costs = np.minimum.reduceat(row_costs, first[:-1])[kept]
 
     def by_cost(idx: int) -> tuple:
         return (costs[idx], vocab.labels[kept[idx]], idx)
@@ -268,8 +273,11 @@ def rank_candidates(
 
     items = []
     for position, idx in enumerate(selected, 1):
-        cand = vocab[kept[idx]]
-        breakdown = distance_to_wakeword(wake, cand.prons, model)
+        index = kept[idx]
+        cand = vocab[index]
+        # The variant distance_to_wakeword would pick: the first with the smallest L.
+        variant = np.argmin(row_costs[first[index] : first[index + 1]] / len(wake.phones))
+        breakdown = distance_to_wakeword(wake, (cand.prons[variant],), model)
         items.append(RankedItem(position, cand, breakdown.L, breakdown))
     return RankedList(
         wake=wake, model=model, k=k, seed=seed, items=items,

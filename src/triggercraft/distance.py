@@ -36,7 +36,10 @@ first row is the running sum of insertion costs, added left to right, and
 the first column the running sum of deletion costs, as in the scalar loop.
 A candidate's cost is the minimum over its variants, so the per-candidate
 reduction is exact too.  A lane depends on its own operands only, so
-neither its batch, the mask nor the other grid points change it.
+neither its batch, the mask nor the other grid points change it.  So
+ranking aligns only the variant the kernel picked: the first with the
+smallest ``cost / n`` among :meth:`CostContext.row_costs`, the variant
+:func:`distance_to_wakeword` would pick from all of them.
 
 :func:`align` keeps no op matrix: it reads the edit script of the one
 variant it reports back from that variant's costs.  Each step is the first
@@ -299,12 +302,16 @@ class CostContext:
         weight lookups, and so the fallback warnings, are those of the
         phones that occur in kept candidates only.
         """
+        return np.minimum.reduceat(self.row_costs(codes, keep), codes.first[:-1])
+
+    def row_costs(self, codes: PhoneCodes, keep: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`score`'s one kernel pass: each row's (pronunciation's) rewrite cost."""
         groups = codes.kept_groups(keep)
         lane = [[scale] for scale in vars(self.model.scales).values()]
         pron_costs = np.full(len(codes.lengths), np.inf)
         for positions, cost in batch_costs(groups, lane, self.weights(codes.phones, groups)):
             pron_costs[positions] = cost[:, 0]
-        return np.minimum.reduceat(pron_costs, codes.first[:-1])
+        return pron_costs
 
 
 _CHUNK = 1 << 14  # the most lanes, rows x scale lanes, of one batched kernel call

@@ -402,21 +402,28 @@ MAX_PHRASE_VARIANTS = 16
 def join_rows(codes: PhoneCodes, phrases: Iterable[Sequence[int]]) -> tuple[np.ndarray, ...]:
     """The phrase encoder: ``(counts, lengths, codes)`` columns over ``codes.phones`` of
     phrases of word ids.  The phrase rule: a phrase's rows are the product of its
-    words' rows in variant order, each joining one row of each word, truncated to
-    :data:`MAX_PHRASE_VARIANTS`, so the all-first-variants row always survives."""
-    first = codes.first.tolist()
-    counts, parts, sizes = [], [], []  # rows per phrase; each row's word rows, and their number
-    for words in phrases:
-        if not words:
-            raise ValueError("empty phrase")
-        rows = [range(first[w], first[w + 1]) for w in words]
-        combos = list(itertools.islice(itertools.product(*rows), MAX_PHRASE_VARIANTS))
-        counts.append(len(combos))
-        sizes += [len(words)] * len(combos)
-        parts += itertools.chain.from_iterable(combos)
-    parts = np.array(parts, dtype=np.intp)  # frees the list before the gather
-    ends, flat = _gather(codes, parts)
-    return np.array(counts, dtype=np.intp), np.diff(ends[_offsets(sizes)]), flat
+    words' rows in variant order, the last word's varying fastest, each joining one
+    row of each word, truncated to :data:`MAX_PHRASE_VARIANTS`, so the
+    all-first-variants row always survives."""
+    phrases = list(phrases)
+    sizes = np.fromiter(map(len, phrases), np.intp, len(phrases))
+    if not sizes.all():
+        raise ValueError("empty phrase")
+    present = np.arange(sizes.max(initial=0)) < sizes[:, None]  # phrases padded to one width
+    words = np.zeros(present.shape, dtype=np.intp)
+    words[present] = np.fromiter(itertools.chain.from_iterable(phrases), np.intp, sizes.sum())
+    variants = np.where(present, codes.counts[words], 1)
+    # later[:, p]: the combinations of words p onwards, saturated at the cap, so
+    # combination t takes variant (t // later[:, p + 1]) % variants[:, p] of word p.
+    later = np.ones((len(phrases), present.shape[1] + 1), dtype=np.intp)
+    for p in reversed(range(present.shape[1])):
+        later[:, p] = np.minimum(later[:, p + 1] * variants[:, p], MAX_PHRASE_VARIANTS)
+    counts = later[:, 0].copy()
+    phrase = np.repeat(np.arange(len(phrases)), counts)  # each combination's phrase
+    t = np.arange(len(phrase)) - _offsets(counts)[phrase]
+    rows = codes.first[words[phrase]] + t[:, None] // later[phrase, 1:] % variants[phrase]
+    ends, flat = _gather(codes, rows[present[phrase]])
+    return counts, np.diff(ends[_offsets(sizes[phrase])]), flat
 
 
 def _gather(codes: PhoneCodes, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

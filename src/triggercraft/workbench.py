@@ -384,15 +384,16 @@ def cmd_rank(config: WorkbenchConfig, args, writer: OutputWriter) -> int:
             f"{n}-gram": extract_ngrams(lines, n, dictionary) for n in args.ngram_sizes
         }
     _check_prices([wake], vocab_by_name.values(), max(vars(model.scales).values()), model.table)
+    outputs = {}  # every vocabulary is ranked before any file is written
     for name, vocab in vocab_by_name.items():
         ranked = rank_candidates(
             vocab, wake, model, config.top_k, config.seed, blocklist=blocked
         )
         suffix = f"{args.wake}_{name}".replace(" ", "_")
-        writer.write(f"rank_{suffix}.tsv", format_ranked_list(ranked))
-        writer.write(
-            f"manifest_{suffix}.tsv", format_manifest(export_manifest(ranked, config.voices))
-        )
+        outputs[f"rank_{suffix}.tsv"] = format_ranked_list(ranked)
+        outputs[f"manifest_{suffix}.tsv"] = format_manifest(export_manifest(ranked, config.voices))
+    for file_name, body in outputs.items():
+        writer.write(file_name, body)
     return 0
 
 

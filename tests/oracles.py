@@ -17,6 +17,7 @@ pruning it checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -170,27 +171,26 @@ def random_models(rng: random.Random, alphabet=ALPHABET) -> list[CostModel]:
     ]
 
 
-def one_at_a_time(score):
-    """``CostContext.score`` run on a batch of one candidate per call.
+def one_at_a_time(row_costs):
+    """``CostContext.row_costs`` run on a batch of one candidate per call.
 
-    Patched over the bulk method, it makes any caller score every kept
-    candidate alone, from a fresh encoding of its own pronunciations, so
-    outputs can be compared against bulk scoring.
+    Patched over the bulk method, it makes any caller (``score`` among them)
+    price every kept candidate alone, from a fresh encoding of its own
+    pronunciations, so outputs can be compared against bulk scoring.
     """
 
-    def scored_singly(ctx, codes, keep=None):
+    def priced_singly(ctx, codes, keep=None):
         prons = [None] * int(codes.counts.sum())
         for positions, block in codes.groups:
             for position, column in zip(positions, block.T):
                 prons[position] = tuple(codes.phones[c] for c in column)
-        starts = np.cumsum(codes.counts) - codes.counts
-        costs = np.full(len(codes.counts), np.inf)
-        for idx, (start, count) in enumerate(zip(starts, codes.counts)):
+        costs = np.full(len(prons), np.inf)
+        for idx, (start, stop) in enumerate(zip(codes.first[:-1], codes.first[1:])):
             if keep is None or keep[idx]:
-                costs[idx] = score(ctx, PhoneCodes([prons[start : start + count]]))[0]
+                costs[start:stop] = row_costs(ctx, PhoneCodes([prons[start:stop]]))
         return costs
 
-    return scored_singly
+    return priced_singly
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +564,25 @@ def reference_phrase_phones(entries, words, max_variants=16) -> list[tuple[str, 
     for word in words:
         combos = [combo + v.phones for combo in combos for v in entries[word.upper()]]
     return combos[:max_variants]
+
+
+def reference_join_rows(codes, phrases, max_variants=16) -> tuple[list[int], ...]:
+    """``join_rows`` by ``itertools.product``: each phrase's combinations of its
+    words' rows (candidates of ``codes``), last word fastest, the first
+    ``max_variants`` of them, each row's codes joined end to end."""
+    flat, starts, first = codes.codes.tolist(), codes.starts.tolist(), codes.first.tolist()
+    counts, lengths, joined = [], [], []
+    for words in phrases:
+        if not words:
+            raise ValueError("empty phrase")
+        rows = [range(first[w], first[w + 1]) for w in words]
+        combos = list(itertools.islice(itertools.product(*rows), max_variants))
+        counts.append(len(combos))
+        for combo in combos:
+            row = [code for r in combo for code in flat[starts[r] : starts[r + 1]]]
+            lengths.append(len(row))
+            joined += row
+    return counts, lengths, joined
 
 
 def reference_extract_ngrams(entries, lines, n) -> tuple[list, int]:

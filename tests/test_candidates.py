@@ -21,7 +21,7 @@ from triggercraft.candidates import (
     normalize_label,
     rank_candidates,
 )
-from triggercraft.distance import CostContext, CostModel, align
+from triggercraft.distance import CostContext, CostModel, align, distance_to_wakeword
 from triggercraft.errors import ConfigError, EmptyVocabulary, OutOfVocabulary
 from triggercraft.lexicon import WakeWordSpec, load_dictionary
 
@@ -237,7 +237,7 @@ class TestRankCandidates:
         wake = wake_by_id["VA2"]
         vocab = dictionary_candidates(mini_dictionary)
         bulk = rank_candidates(vocab, wake, UNWEIGHTED, k=10, seed=3)
-        monkeypatch.setattr(CostContext, "score", one_at_a_time(CostContext.score))
+        monkeypatch.setattr(CostContext, "row_costs", one_at_a_time(CostContext.row_costs))
         single = rank_candidates(vocab, wake, UNWEIGHTED, k=10, seed=3)
         assert [(i.rank, i.candidate.label, i.distance) for i in bulk.items] == [
             (i.rank, i.candidate.label, i.distance) for i in single.items
@@ -279,6 +279,31 @@ def test_top_k_matches_a_full_sort(prons, labels, k, seed):
     order, pool_size = full_sort_top_k(vocab, wake, UNWEIGHTED, k, seed)
     assert [id(i.candidate) for i in ranked.items] == [id(vocab[idx]) for idx in order]
     assert ranked.boundary_pool_size == pool_size
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    wake=st.lists(st.sampled_from(ALPHABET[:3]), min_size=1, max_size=4).map(tuple),
+    prons=st.lists(
+        st.lists(st.lists(st.sampled_from(ALPHABET[:3]), min_size=1, max_size=4).map(tuple),
+                 min_size=1, max_size=4),
+        min_size=1, max_size=12,
+    ),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 1000),
+    model_seed=st.integers(0, 2**32 - 1),
+)
+# Deleting AA or deleting B: two variants at one cost, by different scripts.
+@example(wake=("AA", "B"), prons=[[("AA",), ("B",)]], k=1, seed=0, model_seed=0)
+def test_each_item_aligns_the_variant_distance_to_wakeword_picks(wake, prons, k, seed,
+                                                                 model_seed):
+    # Three phones and up to four variants: variants often tie on cost.
+    spec = WakeWordSpec(id="T", text="wake", phones=wake)
+    vocab = [Candidate(f"c{idx}", tuple(p)) for idx, p in enumerate(prons)]
+    for model in random_models(random.Random(model_seed), ALPHABET[:3]):
+        for item in rank_candidates(vocab, spec, model, k, seed).items:
+            assert item.breakdown == distance_to_wakeword(spec, item.candidate.prons, model)
+            assert item.distance == item.breakdown.L
 
 
 TIE_WAKES = [("AA", "B", "IY"), ("B",), ("IY", "IY", "AA", "B")]

@@ -21,6 +21,7 @@ from oracles import (
     reference_blocklist,
     reference_dictionary_candidates,
     reference_extract_ngrams,
+    reference_join_rows,
     reference_listing,
     reference_load_dictionary,
     reference_phrase_phones,
@@ -38,7 +39,13 @@ from triggercraft.candidates import (
 )
 from triggercraft.distance import CostContext
 from triggercraft.errors import NoQualifyingWords, TriggerCraftError
-from triggercraft.lexicon import WakeWordSpec, load_dictionary, phrase_phones
+from triggercraft.lexicon import (
+    PhoneCodes,
+    WakeWordSpec,
+    join_rows,
+    load_dictionary,
+    phrase_phones,
+)
 from triggercraft.tuning import TriggerRanks, filter_triggers, grid_search, load_trigger_labels
 from triggercraft.weights import sample_probe_words
 from triggercraft.workbench import load_config
@@ -285,6 +292,41 @@ def test_ngram_vocabulary_is_the_candidates_of_joined_phrases(corpus, n, phones,
                 == rank_candidates(reference, wake, model, k, seed))
     # Label, pronunciations (capped), source, count and order.
     assert list(vocab) == expected
+
+
+@st.composite
+def phrase_batches(draw):
+    """Words of 1 to 20 rows each, and phrases of 1 to 4 of them, lengths mixed."""
+    words = draw(st.lists(
+        st.lists(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3).map(tuple),
+                 min_size=1, max_size=20),
+        min_size=1, max_size=6))
+    word_id = st.integers(0, len(words) - 1)
+    phrases = draw(st.lists(st.lists(word_id, min_size=1, max_size=4), max_size=6))
+    return PhoneCodes(words), phrases
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=phrase_batches())
+# 17 rows (one past the cap) after a 2-row word, and 16 after a 1-row word.
+@example(batch=(PhoneCodes([[("AA",), ("B",)], [("IY",) * k for k in range(1, 18)],
+                            [("K",) * k for k in range(1, 17)], [("S",)]]),
+                [[1], [0, 1], [1, 0], [3, 2], [2, 3, 3], [0, 0, 0, 0]]))
+def test_joined_rows_equal_the_product_reference(batch):
+    codes, phrases = batch
+    got = join_rows(codes, phrases)
+    assert [column.tolist() for column in got] == list(reference_join_rows(codes, phrases))
+    assert [column.dtype for column in got] == [np.dtype(np.intp)] * 2 + [codes.codes.dtype]
+
+
+def test_joining_no_phrases_and_an_empty_phrase():
+    codes = PhoneCodes([[("AA",), ("B",)]])
+    assert [column.tolist() for column in join_rows(codes, [])] == [[], [], []]
+    for phrases in ([[]], [[0], []]):
+        with pytest.raises(ValueError, match="empty phrase"):
+            join_rows(codes, phrases)
+        with pytest.raises(ValueError, match="empty phrase"):
+            reference_join_rows(codes, phrases)
 
 
 def test_ngrams_build_candidates_only_for_what_is_read(fixtures_dir, monkeypatch):

@@ -408,6 +408,18 @@ class TestExitCodes:
         assert ("overflow" in caplog.text) == bool(code)
         assert (copy / "out").exists() == (not code)
 
+    def test_a_failed_transcript_rank_writes_nothing(self, fixtures_dir, tmp_path, caplog):
+        # "that was" makes a 1-gram and a 2-gram but no 3-gram, so the run
+        # fails on its last vocabulary, after the first two rank.
+        copy = tmp_path / "fixtures"
+        shutil.copytree(fixtures_dir, copy)
+        (copy / "transcripts.txt").write_text("that was\n", encoding="utf-8")
+        assert main(["--config", str(copy / "config.json"), "rank", "--wake", "VA1",
+                     "--source", "transcripts", "--transcripts",
+                     str(copy / "transcripts.txt")]) == 2
+        assert "no candidates left for 'VA1'" in caplog.text
+        assert not (copy / "out").exists()
+
     # Integer options are ASCII digits, as int() alone would not insist.
     @pytest.mark.parametrize("argv", [
         ["--seed", "1_0", "rank", "--wake", "VA1"],
@@ -686,7 +698,7 @@ class TestRankCommand:
 
     def test_batches_of_one_do_not_change_output(self, config_path, tmp_path, monkeypatch):
         bulk = run(config_path, tmp_path / "a", "rank", "--wake", "VA1")
-        monkeypatch.setattr(CostContext, "score", one_at_a_time(CostContext.score))
+        monkeypatch.setattr(CostContext, "row_costs", one_at_a_time(CostContext.row_costs))
         single = run(config_path, tmp_path / "b", "rank", "--wake", "VA1")
         for name in ("rank_VA1_dictionary.tsv", "manifest_VA1_dictionary.tsv"):
             assert (bulk / name).read_bytes() == (single / name).read_bytes()
